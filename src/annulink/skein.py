@@ -20,18 +20,19 @@ walks) and exists so the closed form can be cross-checked.
 Normalization: the empty diagram evaluates to 1, a nullhomotopic
 unknot to delta, a single essential circle to 0.
 
-`bracket` enumerates the 2^n smoothings independently and is the
-reference evaluator.  `bracket_gray` visits them in Gray-code order,
-updating the circle decomposition incrementally at the one crossing
-that changed; it is the fast path and must always agree with
-`bracket`.  Both refuse diagrams with more than MAX_CROSSINGS
-crossings rather than start a hopeless enumeration.
+`bracket_gray` visits the 2^n smoothings in Gray-code order, updating
+the circle decomposition incrementally at the one crossing that
+changed; it is the route used in production.  `bracket` enumerates
+them independently and is its oracle: the two must always agree and
+are never merged.  Each memoises its value on the diagram under its
+own key, so a diagram is evaluated at most once per route and neither
+route can read the other's result.  Both refuse diagrams with more
+than MAX_CROSSINGS crossings rather than start a hopeless enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .diagram import AnnularDiagram
@@ -111,35 +112,31 @@ def _tables(d: AnnularDiagram) -> Tuple[List[str], List[int], List[int]]:
 
 
 def _partner_for(sign: int, h: int) -> int:
-    base, s = h - (h & 3), h & 3
-    return base + (3 - s if sign > 0 else s ^ 1)
+    return h ^ (3 if sign > 0 else 1)  # slot s pairs with 3-s (+1) or s^1 (-1)
 
 
-def _resolve_vector(d: AnnularDiagram, signs: Sequence[int]) -> Tuple[int, int]:
-    """(nullhomotopic circles, essential circles) for one smoothing,
-    free loops included."""
+def _label_circles(d: AnnularDiagram, signs: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(circle index of every half-edge, parity of every circle) for one
+    smoothing, free loops excluded.  Circles are numbered in the order
+    of their smallest half-edge."""
     order, mate, epar = _tables(d)
-    total = 4 * len(order)
-    visited = [False] * total
-    trivial = sum(1 for p in d.free_loops if p == 0)
-    essential = len(d.free_loops) - trivial
-    for h0 in range(total):
-        if visited[h0]:
+    ident = [-1] * (4 * len(order))
+    parity: List[int] = []
+    for h0 in range(len(ident)):
+        if ident[h0] >= 0:
             continue
+        k = len(parity)
         par = 0
         cur = h0
         while True:
             m = mate[cur]
-            visited[cur] = visited[m] = True
+            ident[cur] = ident[m] = k
             par ^= epar[cur]
-            cur = _partner_for(signs[m >> 2], m)
+            cur = m ^ 3 if signs[m >> 2] > 0 else m ^ 1
             if cur == h0:
                 break
-        if par:
-            essential += 1
-        else:
-            trivial += 1
-    return trivial, essential
+        parity.append(par)
+    return ident, parity
 
 
 def _state_signs(
@@ -170,7 +167,9 @@ def resolve(
     ``state`` maps crossing ids to +-1, or lists signs in crossing
     order.  Free loops are counted by their own parity.
     """
-    return _resolve_vector(d, _state_signs(d, state))
+    parity = _label_circles(d, _state_signs(d, state))[1]
+    trivial = parity.count(0) + d.free_loops.count(0)
+    return trivial, len(parity) + len(d.free_loops) - trivial
 
 
 def state_circles(
@@ -184,28 +183,12 @@ def state_circles(
     is deterministic: circles appear by their smallest corner in table
     order, then free loops in diagram order.
     """
-    signs = _state_signs(d, state)
-    order, mate, epar = _tables(d)
-    total = 4 * len(order)
-    visited = [False] * total
-    out: List[Tuple[frozenset, int]] = []
-    for h0 in range(total):
-        if visited[h0]:
-            continue
-        par = 0
-        cur = h0
-        members = []
-        while True:
-            m = mate[cur]
-            visited[cur] = visited[m] = True
-            members.append(cur)
-            members.append(m)
-            par ^= epar[cur]
-            cur = _partner_for(signs[m >> 2], m)
-            if cur == h0:
-                break
-        corners = frozenset((order[h >> 2], h & 3) for h in members)
-        out.append((corners, par))
+    ident, parity = _label_circles(d, _state_signs(d, state))
+    order = _tables(d)[0]
+    corners: List[List[Tuple[str, int]]] = [[] for _ in parity]
+    for h, k in enumerate(ident):
+        corners[k].append((order[h >> 2], h & 3))
+    out = [(frozenset(c), par) for c, par in zip(corners, parity)]
     for p in d.free_loops:
         out.append((frozenset(), p & 1))
     return out
@@ -239,9 +222,18 @@ def bracket(d: AnnularDiagram) -> LaurentPoly:
 
     Each state is traced independently; the only state shared between
     iterations is a visit-stamp array, so this route has none of the
-    incremental bookkeeping `bracket_gray` relies on.
+    incremental bookkeeping `bracket_gray` relies on.  The value is
+    memoised on the diagram under this route's own key.
     """
     _check_size(d)
+    if "bracket:plain" not in d._cache:
+        d._cache["bracket:plain"] = _assemble(_plain_states(d))
+    return d._cache["bracket:plain"]  # type: ignore[return-value]
+
+
+def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
+    """Histogram of smoothing invariants over all 2^n states, each traced
+    from scratch."""
     order, mate, epar = _tables(d)
     n = len(order)
     total = 4 * n
@@ -272,13 +264,13 @@ def bracket(d: AnnularDiagram) -> LaurentPoly:
                 triv += 1
         key = (n - 2 * bits.bit_count(), triv + free_triv, ess + free_ess)
         hist[key] = hist.get(key, 0) + 1
-    return _assemble(hist)
+    return hist
 
 
 def _gray_chunk(
-    d: AnnularDiagram, start: int, stop: int
-) -> Dict[Tuple[int, int, int], int]:
-    """Histogram of smoothing invariants for Gray-code states start..stop-1."""
+    d: AnnularDiagram, start: int, stop: int, hist: Dict[Tuple[int, int, int], int]
+) -> None:
+    """Add the smoothing invariants of Gray-code states start..stop-1 to hist."""
     order, mate, epar = _tables(d)
     n = len(order)
     total = 4 * n
@@ -290,34 +282,11 @@ def _gray_chunk(
     partner = [_partner_for(signs[h >> 2], h) for h in range(total)]
 
     # Circle decomposition of the seed state.
-    ident = [0] * total
-    parity: Dict[int, int] = {}
-    next_id = 0
-    ntriv = ness = 0
-    seen = [False] * total
-    for h0 in range(total):
-        if seen[h0]:
-            continue
-        par = 0
-        cur = h0
-        members = []
-        while True:
-            m = mate[cur]
-            seen[cur] = seen[m] = True
-            members.append(cur)
-            members.append(m)
-            par ^= epar[cur]
-            cur = partner[m]
-            if cur == h0:
-                break
-        for h in members:
-            ident[h] = next_id
-        parity[next_id] = par
-        next_id += 1
-        if par:
-            ness += 1
-        else:
-            ntriv += 1
+    ident, seed_parity = _label_circles(d, signs)
+    parity: Dict[int, int] = dict(enumerate(seed_parity))
+    next_id = len(seed_parity)
+    ntriv = seed_parity.count(0)
+    ness = next_id - ntriv
 
     def walk(h0: int) -> Tuple[List[int], int]:
         par = 0
@@ -333,7 +302,6 @@ def _gray_chunk(
                 break
         return members, par
 
-    hist: Dict[Tuple[int, int, int], int] = {}
     pop = bits.bit_count()
     for i in range(start, stop):
         key = (n - 2 * pop, ntriv + free_triv, ness + free_ess)
@@ -390,30 +358,27 @@ def _gray_chunk(
                 else:
                     ntriv += 1
             next_id += 2
-    return hist
 
 
 def bracket_gray(d: AnnularDiagram, threads: int = 1) -> LaurentPoly:
     """Bracket via Gray-code enumeration with incremental circle updates.
 
-    ``threads`` splits the state range into that many chunks evaluated
-    on a thread pool; chunk histograms are merged in a fixed order, so
-    the result is identical for any thread count.
+    ``threads`` is a chunk count: the state range is split into that
+    many chunks, each seeded from scratch at its first state and walked
+    in turn, and their histograms are merged in a fixed order, so the
+    result is identical for any chunk count.  The value is memoised on
+    the diagram under a key of this route and the chunk count.
     """
     _check_size(d)
-    n = d.n
-    states = 1 << n
-    threads = max(1, min(int(threads), states))
-    if threads == 1:
-        return _assemble(_gray_chunk(d, 0, states))
-    step = states // threads
-    bounds = [(k * step, (k + 1) * step if k < threads - 1 else states) for k in range(threads)]
-    hist: Dict[Tuple[int, int, int], int] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(lambda ab: _gray_chunk(d, ab[0], ab[1]), bounds):
-            for key, count in part.items():
-                hist[key] = hist.get(key, 0) + count
-    return _assemble(hist)
+    states = 1 << d.n
+    chunks = max(1, min(int(threads), states))
+    key = "bracket:gray:%d" % chunks
+    if key not in d._cache:
+        hist: Dict[Tuple[int, int, int], int] = {}
+        for k in range(chunks):
+            _gray_chunk(d, states * k // chunks, states * (k + 1) // chunks, hist)
+        d._cache[key] = _assemble(hist)
+    return d._cache[key]  # type: ignore[return-value]
 
 
 # -- orientation-dependent quantities ----------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulink import cli, skein
+from annulink.analysis import is_connected, z2_class
 from annulink.diagram import (
     apply_full_twist,
     from_braid_closure,
@@ -28,6 +30,7 @@ from annulink.skein import (
     state_circles,
     writhe,
 )
+from annulink.theorems import FAIL, verify_all
 
 
 def closure(word, strands, disk=False):
@@ -222,3 +225,85 @@ class TestExponentCongruence:
         poly = bracket(closure(word, strands))
         exps = [e for e, _ in poly.to_pairs()]
         assert len({e % 4 for e in exps}) <= 1
+
+
+class TestEvaluateOnce:
+    """Each diagram is evaluated at most once per route and chunk count."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        counts = {"gray": 0, "plain": 0}
+        gray_chunk, plain_states = skein._gray_chunk, skein._plain_states
+
+        def counted_gray(*args, **kwargs):
+            counts["gray"] += 1
+            return gray_chunk(*args, **kwargs)
+
+        def counted_plain(*args, **kwargs):
+            counts["plain"] += 1
+            return plain_states(*args, **kwargs)
+
+        monkeypatch.setattr(skein, "_gray_chunk", counted_gray)
+        monkeypatch.setattr(skein, "_plain_states", counted_plain)
+        return counts
+
+    def test_verify_all_runs_each_route_once(self, enumerations):
+        d = closure([1, -2, 3, 1, -2, 3], 4)
+        assert z2_class(d) == 0 and is_connected(d) and d.n <= 14
+        assert verify_all(d).ok()
+        assert enumerations == {"gray": 1, "plain": 1}
+
+    def test_cli_bracket_jones_runs_gray_once(self, enumerations, capsys):
+        assert cli.main(["bracket", "braid 4: s1 -s2 s3 s1 -s2 s3", "--jones"]) == 0
+        assert "jones = " in capsys.readouterr().out
+        assert enumerations == {"gray": 1, "plain": 0}
+
+    def test_chunk_count_is_part_of_the_key(self, enumerations):
+        d = closure([1, -2, 3, 1, -2, 3], 4)
+        single = bracket_gray(d)
+        assert bracket_gray(d, threads=4) == single
+        assert bracket_gray(d, threads=4) == single
+        assert enumerations == {"gray": 1 + 4, "plain": 0}
+
+
+class TestOracleIndependence:
+    def test_wrong_gray_memo_fails_route_check(self):
+        d = closure([1, -2, 3, 1, -2, 3], 4)
+        d._cache["bracket:gray:1"] = LaurentPoly.parse("A^4")
+        (record,) = [r for r in verify_all(d).records if r.check == "bracket_routes"]
+        assert record.verdict == FAIL
+        assert record.left == str(bracket(closure([1, -2, 3, 1, -2, 3], 4)))
+        assert record.right == "A^4"
+
+    def test_every_chunk_count_matches_plain(self):
+        for d in random_population(4242, 25):
+            plain = bracket(d)
+            for k in range(1, 6):
+                assert bracket_gray(d, threads=k) == plain
+
+
+class TestCircleLabelling:
+    """`resolve` and `state_circles` read the same circle labelling."""
+
+    @staticmethod
+    def _agree(d, signs):
+        circles = state_circles(d, signs)
+        trivial = sum(1 for _, p in circles if p == 0)
+        assert (trivial, len(circles) - trivial) == resolve(d, signs)
+        corners = [c for members, _ in circles for c in members]
+        assert len(corners) == len(set(corners))
+        assert set(corners) == {(c, s) for c in d.crossings for s in range(4)}
+
+    def test_random_states_of_closures(self):
+        rng = random.Random(77)
+        population = random_population(2024, 40)
+        assert any(d.n and not any(d.edge_parity.values()) for d in population)  # disk closures
+        for d in population:
+            for _ in range(6):
+                self._agree(d, [rng.choice((1, -1)) for _ in range(d.n)])
+
+    def test_free_loop_diagrams(self):
+        rng = random.Random(78)
+        for _ in range(10):
+            d = from_free_loops([rng.randint(0, 1) for _ in range(rng.randint(0, 5))])
+            self._agree(d, [])
