@@ -8,7 +8,7 @@ both boundary regions.  Everything else only gets the upper bound.
 Run:  python demos/breadth_survey.py
 """
 
-from annulink.analysis import classify_crossings, is_alternating, profile
+from annulink.analysis import profile
 from annulink.generate import alternating_braid_closures, disk_alternating
 from annulink.skein import bracket_gray
 
@@ -22,14 +22,12 @@ def survey(diagrams):
         if not p.connected:
             continue
         B = bracket_gray(d).breadth()
-        tags = classify_crossings(d).values()
-        k = sum(1 for t in tags if t == "fig3_type")
-        clean = all(t != "fig2_type" for t in tags)
+        k = p.k_fig3
         if p.in_disk:
             predicted = 4 * d.n + 4
         else:
             predicted = 4 * d.n - 4 * k
-        exact = is_alternating(d) and clean
+        exact = p.alternating and not p.k_fig2
         verdict = "= exact" if exact and B == predicted else "<= bound"
         where = "disk" if p.in_disk else "annulus"
         print("%-4d %-3d %-5s %-12s %-6d %-6d %-9s" % (d.n, k, "yes" if p.alternating else "no", where, B, predicted, verdict))

@@ -4,7 +4,9 @@ Everything here reads a diagram and produces combinatorial facts about
 it: its mod-2 winding class, whether it is connected or fits in a disk,
 whether the strands alternate, how each crossing sits against the
 external regions, and the circle counts of the two constant smoothings.
-`profile` bundles the lot into one record.
+`profile` bundles the lot into one record, computed once per diagram
+and memoised on it; the breadth checks and the CLI read their
+hypotheses from that record.
 
 Crossing classification follows the corner-incidence reading of the
 removable configurations: a crossing is tagged fig3_type when its
@@ -181,8 +183,9 @@ def is_adequate(d: AnnularDiagram) -> Tuple[bool, bool]:
 class DiagramProfile:
     """Flat summary of one diagram.
 
-    The classification-derived fields (k_fig3, simple, quasi_simple)
-    are None when the diagram is disconnected.
+    The classification-derived fields (k_fig3, simple, quasi_simple,
+    k_fig2) are None when the diagram is disconnected; k_fig2 is also
+    None for a diagram without crossings.
     """
 
     n: int
@@ -199,6 +202,7 @@ class DiagramProfile:
     quasi_simple: Optional[bool]
     plus_adequate: bool
     minus_adequate: bool
+    k_fig2: Optional[int]
 
     def as_record(self) -> Dict[str, object]:
         """Field name -> value, in declaration order."""
@@ -206,20 +210,28 @@ class DiagramProfile:
 
 
 def profile(d: AnnularDiagram) -> DiagramProfile:
-    """Compute every predicate and count for one diagram."""
+    """Every predicate and count for one diagram, computed on the first
+    call and memoised on the diagram.
+
+    ``k_fig2`` counts the fig2_type crossings; it is None when the
+    diagram is disconnected or has no crossings.
+    """
+    if "profile" in d._cache:
+        return d._cache["profile"]  # type: ignore[return-value]
     conn = is_connected(d)
     sp, pp, sm, pm = state_counts(d)
     k3: Optional[int] = None
+    k2: Optional[int] = None
     simple: Optional[bool] = None
     quasi: Optional[bool] = None
     if conn:
         tags = list(classify_crossings(d).values())
-        k3 = sum(1 for t in tags if t == "fig3_type")
-        fig2 = any(t == "fig2_type" for t in tags)
-        simple = not fig2 and k3 == 0
-        quasi = not fig2 and k3 <= 1
+        k3 = tags.count("fig3_type")
+        k2 = tags.count("fig2_type") if tags else None
+        simple = not k2 and k3 == 0
+        quasi = not k2 and k3 <= 1
     pa, ma = is_adequate(d)
-    return DiagramProfile(
+    p = DiagramProfile(
         n=d.n,
         connected=conn,
         alternating=is_alternating(d),
@@ -234,4 +246,7 @@ def profile(d: AnnularDiagram) -> DiagramProfile:
         quasi_simple=quasi,
         plus_adequate=pa,
         minus_adequate=ma,
+        k_fig2=k2,
     )
+    d._cache["profile"] = p
+    return p

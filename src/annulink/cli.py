@@ -13,7 +13,7 @@ Exit codes are frozen for scripting:
     3  resource cap exceeded (crossing limit)
 
 Output is deterministic: identical inputs, seeds and flags produce
-byte-identical reports regardless of --threads.
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import argparse
 import itertools
 import os
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import corpus as corpus_mod
-from .analysis import classify_crossings, profile
+from .analysis import profile
 from .diagfile import (
     DiagramFormatError,
     is_recipe,
@@ -36,7 +36,6 @@ from .diagfile import (
 )
 from .diagram import AnnularDiagram
 from .generate import FAMILIES, generate_family
-from .laurent import LaurentPoly
 from .skein import (
     MAX_CROSSINGS,
     BracketSizeError,
@@ -45,7 +44,14 @@ from .skein import (
     resolve,
     writhe,
 )
-from .theorems import FAIL, SKIP, CheckRecord, LinkAssertions, verify_all
+from .theorems import (
+    FAIL,
+    SKIP,
+    CheckRecord,
+    LinkAssertions,
+    VerificationReport,
+    verify_all,
+)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -130,7 +136,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     except DiagramFormatError as exc:
         return _fail_input(_format_error(exc))
     try:
-        poly = bracket_gray(d, threads=args.threads)
+        poly = bracket_gray(d)
         rows: List[Tuple[str, str]] = []
         if args.mirror:
             poly = poly.mirror()
@@ -163,8 +169,6 @@ def cmd_props(args: argparse.Namespace) -> int:
     except DiagramFormatError as exc:
         return _fail_input(_format_error(exc))
     record = profile(d).as_record()
-    tags = list(classify_crossings(d).values()) if record["connected"] else []
-    record["k_fig2"] = sum(1 for t in tags if t == "fig2_type") if tags else None
     record["components"] = d.component_count()
     items = list(record.items())
     if args.format == "structured":
@@ -229,65 +233,51 @@ def _print_report(report, fmt: str) -> None:
             _emit(line)
 
 
+def _verify_target(
+    target: str, flags: LinkAssertions
+) -> Tuple[VerificationReport, AnnularDiagram]:
+    """Check one corpus entry (recorded values first) or one loaded
+    diagram; return the report together with the diagram it checked."""
+    if target in corpus_mod.ENTRIES:
+        entry = corpus_mod.get(target)
+        d = entry.build()
+        return corpus_mod.verify_entry(entry, d), d
+    name, d = _load_target(target)
+    return verify_all(d, flags, name=name), d
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    whole_corpus = args.target == "corpus"
     try:
         flags = _assumptions(args)
+        checked = [
+            _verify_target(t, flags)
+            for t in (corpus_mod.names() if whole_corpus else [args.target])
+        ]
     except DiagramFormatError as exc:
         return _fail_input(_format_error(exc))
+    pair_records = corpus_mod.verify_pairs() if whole_corpus else []
 
-    if args.target == "corpus":
-        reports = [corpus_mod.verify_entry(corpus_mod.get(n)) for n in corpus_mod.names()]
-        pair_records = corpus_mod.verify_pairs()
-        bad = EXIT_OK
-        for report in reports:
-            _print_report(report, args.format)
-            if not report.ok():
-                bad = EXIT_CHECK
-        for rec in pair_records:
-            if args.format == "structured":
-                _emit(
-                    "entry=pairs check=%s verdict=%s left=%s right=%s"
-                    % (rec.check, rec.verdict, rec.left, rec.right)
-                )
-            else:
-                _emit(rec.line())
-            if rec.verdict == FAIL:
-                bad = EXIT_CHECK
-        if bad != EXIT_OK:
-            for report in reports:
-                if not report.ok():
-                    _dump_diagnostic(
-                        report.name,
-                        corpus_mod.get(report.name).build(),
-                        report.failures(),
-                    )
-        summary = "entries=%d pairs=%d status=%s" % (
-            len(reports),
-            len(pair_records),
-            "ok" if bad == EXIT_OK else "failed",
+    for report, _ in checked:
+        _print_report(report, args.format)
+    for rec in pair_records:
+        if args.format == "structured":
+            _emit(
+                "entry=pairs check=%s verdict=%s left=%s right=%s"
+                % (rec.check, rec.verdict, rec.left, rec.right)
+            )
+        else:
+            _emit(rec.line())
+    failed = [(report, d) for report, d in checked if not report.ok()]
+    for report, d in failed:
+        _dump_diagnostic(report.name, d, report.failures())
+    bad = bool(failed) or any(rec.verdict == FAIL for rec in pair_records)
+    if whole_corpus:
+        _emit(
+            "entries=%d pairs=%d status=%s"
+            % (len(checked), len(pair_records), "failed" if bad else "ok")
         )
-        _emit(summary)
-        return bad
-
-    if args.target in corpus_mod.ENTRIES:
-        report = corpus_mod.verify_entry(corpus_mod.get(args.target))
-    else:
-        try:
-            name, d = _load_target(args.target)
-        except DiagramFormatError as exc:
-            return _fail_input(_format_error(exc))
-        report = verify_all(d, flags, name=name)
-    _print_report(report, args.format)
-    if report.ok():
-        return EXIT_OK
-    _dump_diagnostic(
-        report.name,
-        corpus_mod.get(args.target).build()
-        if args.target in corpus_mod.ENTRIES
-        else _load_target(args.target)[1],
-        report.failures(),
-    )
-    return EXIT_CHECK
+    return EXIT_CHECK if bad else EXIT_OK
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -326,12 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "structured"),
         default="text",
         help="report style (default text)",
-    )
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="Gray-route chunk count; output is identical for any value",
     )
     top.add_argument("--seed", type=int, default=0, help="seed for generated families")
     top.add_argument(

@@ -369,9 +369,14 @@ def _expected_checks(entry: CorpusEntry, d: AnnularDiagram) -> List[CheckRecord]
     return out
 
 
-def verify_entry(entry: CorpusEntry) -> VerificationReport:
-    """Recheck one entry: recorded values first, then the general checks."""
-    d = entry.build()
+def verify_entry(
+    entry: CorpusEntry, d: Optional[AnnularDiagram] = None
+) -> VerificationReport:
+    """Recheck one entry: recorded values first, then the general checks.
+
+    ``d`` is the entry's diagram, when the caller has built it already.
+    """
+    d = entry.build() if d is None else d
     base = verify_all(d, name=entry.name)
     records = tuple(_expected_checks(entry, d)) + base.records
     return VerificationReport(entry.name, base.assumptions, records)

@@ -32,7 +32,7 @@ generators (`insert_r1`, `insert_r2`) never mutate their input.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 __all__ = [
     "UNBOUNDED",
@@ -45,7 +45,6 @@ __all__ = [
     "insert_r2",
     "apply_full_twist",
     "mirror_diagram",
-    "chessboard_coloring",
 ]
 
 UNBOUNDED = "unbounded"
@@ -254,12 +253,6 @@ class AnnularDiagram:
             return None
         table = self.corner_face()
         return (table[self.external[0]], table[self.external[1]])
-
-    def edge_sides(self, edge: str) -> Tuple[int, int]:
-        """The two face indices along an edge."""
-        (c, s), _ = self.edge_ends()[edge]
-        table = self.corner_face()
-        return (table[(c, s)], table[(c, (s - 1) % 4)])
 
     # -- strands -------------------------------------------------------------
 
@@ -656,40 +649,3 @@ def mirror_diagram(d: AnnularDiagram) -> AnnularDiagram:
         (flip(d.external[0]), flip(d.external[1])),
     )
 
-
-# -- chessboard coloring -----------------------------------------------------
-
-
-def chessboard_coloring(d: AnnularDiagram) -> List[str]:
-    """Two-color the faces of a connected diagram.
-
-    Returns a color ("black"/"white") per face index, normalized so the
-    face holding the first external marker is black.  Works because a
-    4-valent map never has the same face on both sides of an edge.
-    """
-    faces = d.trace_faces()
-    if not faces:
-        return []
-    ext = d.external_face_indices()
-    if ext is None:
-        raise ValueError("chessboard coloring needs resolved external markers")
-    colors: List[str | None] = [None] * len(faces)
-    colors[ext[0]] = "black"
-    queue = [ext[0]]
-    adjacency: Dict[int, List[int]] = {}
-    for eid in d.edge_parity:
-        a, b = d.edge_sides(eid)
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    while queue:
-        f = queue.pop()
-        want = "white" if colors[f] == "black" else "black"
-        for g in adjacency.get(f, ()):
-            if colors[g] is None:
-                colors[g] = want
-                queue.append(g)
-            elif colors[g] != want:
-                raise ValueError("face adjacency is not bipartite; map is broken")
-    if any(c is None for c in colors):
-        raise ValueError("chessboard coloring needs a connected diagram")
-    return colors  # type: ignore[return-value]

@@ -20,14 +20,15 @@ walks) and exists so the closed form can be cross-checked.
 Normalization: the empty diagram evaluates to 1, a nullhomotopic
 unknot to delta, a single essential circle to 0.
 
-`bracket_gray` visits the 2^n smoothings in Gray-code order, updating
-the circle decomposition incrementally at the one crossing that
-changed; it is the route used in production.  `bracket` enumerates
-them independently and is its oracle: the two must always agree and
-are never merged.  Each memoises its value on the diagram under its
-own key, so a diagram is evaluated at most once per route and neither
-route can read the other's result.  Both refuse diagrams with more
-than MAX_CROSSINGS crossings rather than start a hopeless enumeration.
+`bracket_gray` visits the 2^n smoothings in one Gray-code walk from
+the all-plus state, updating the circle decomposition incrementally at
+the one crossing that changed; it is the route used in production.
+`bracket` enumerates them independently and is its oracle: the two
+must always agree and are never merged.  Each memoises its value on
+the diagram under its own key, so a diagram is evaluated at most once
+per route and neither route can read the other's result.  Both refuse
+diagrams with more than MAX_CROSSINGS crossings rather than start a
+hopeless enumeration.
 """
 
 from __future__ import annotations
@@ -267,21 +268,19 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     return hist
 
 
-def _gray_chunk(
-    d: AnnularDiagram, start: int, stop: int, hist: Dict[Tuple[int, int, int], int]
-) -> None:
-    """Add the smoothing invariants of Gray-code states start..stop-1 to hist."""
+def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
+    """Histogram of smoothing invariants over all 2^n states, visited in
+    Gray-code order from the all-plus state."""
     order, mate, epar = _tables(d)
     n = len(order)
     total = 4 * n
     free_triv = sum(1 for p in d.free_loops if p == 0)
     free_ess = len(d.free_loops) - free_triv
 
-    bits = start ^ (start >> 1)  # Gray code of the first state
-    signs = [-1 if bits >> i & 1 else 1 for i in range(n)]
-    partner = [_partner_for(signs[h >> 2], h) for h in range(total)]
+    signs = [1] * n
+    partner = [_partner_for(1, h) for h in range(total)]
 
-    # Circle decomposition of the seed state.
+    # Circle decomposition of the all-plus state.
     ident, seed_parity = _label_circles(d, signs)
     parity: Dict[int, int] = dict(enumerate(seed_parity))
     next_id = len(seed_parity)
@@ -302,18 +301,19 @@ def _gray_chunk(
                 break
         return members, par
 
-    pop = bits.bit_count()
-    for i in range(start, stop):
+    hist: Dict[Tuple[int, int, int], int] = {}
+    states = 1 << n
+    pop = 0
+    for i in range(1, states + 1):
         key = (n - 2 * pop, ntriv + free_triv, ness + free_ess)
         hist[key] = hist.get(key, 0) + 1
-        if i + 1 == stop:
+        if i == states:
             break
-        t = ((i + 1) & -(i + 1)).bit_length() - 1  # flipped crossing
+        t = (i & -i).bit_length() - 1  # flipped crossing
         j = 4 * t
         old_sign = signs[t]
         new_sign = -old_sign
         signs[t] = new_sign
-        bits ^= 1 << t
         pop += 1 if new_sign < 0 else -1
         if old_sign > 0:
             ia, ib = ident[j], ident[j + 1]  # arcs (j,j+3) and (j+1,j+2)
@@ -358,27 +358,20 @@ def _gray_chunk(
                 else:
                     ntriv += 1
             next_id += 2
+    return hist
 
 
-def bracket_gray(d: AnnularDiagram, threads: int = 1) -> LaurentPoly:
+def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     """Bracket via Gray-code enumeration with incremental circle updates.
 
-    ``threads`` is a chunk count: the state range is split into that
-    many chunks, each seeded from scratch at its first state and walked
-    in turn, and their histograms are merged in a fixed order, so the
-    result is identical for any chunk count.  The value is memoised on
-    the diagram under a key of this route and the chunk count.
+    One walk visits every smoothing from the all-plus state, flipping
+    one crossing per step and re-tracing only the circles through it.
+    The value is memoised on the diagram under this route's own key.
     """
     _check_size(d)
-    states = 1 << d.n
-    chunks = max(1, min(int(threads), states))
-    key = "bracket:gray:%d" % chunks
-    if key not in d._cache:
-        hist: Dict[Tuple[int, int, int], int] = {}
-        for k in range(chunks):
-            _gray_chunk(d, states * k // chunks, states * (k + 1) // chunks, hist)
-        d._cache[key] = _assemble(hist)
-    return d._cache[key]  # type: ignore[return-value]
+    if "bracket:gray" not in d._cache:
+        d._cache["bracket:gray"] = _assemble(_gray_states(d))
+    return d._cache["bracket:gray"]  # type: ignore[return-value]
 
 
 # -- orientation-dependent quantities ----------------------------------------

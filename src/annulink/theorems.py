@@ -10,6 +10,10 @@ bracket's breadth B to crossing and circle counts, on one diagram:
                          with no fig2_type crossing, B = 4n+4 in a disk
                          and B = 4n-4k outside one (k fig3_type crossings)
 
+Every check reads its hypotheses (class, connectivity, alternation,
+in-disk, state counts, adequacy, crossing types) from the diagram's
+memoised `profile`, so verify_all derives each of them once.
+
 A check returns a CheckRecord and never raises on out-of-scope input:
 when a diagram misses a hypothesis the verdict is "hypotheses-not-met",
 which is deliberately distinct from "fail".  A fail on met hypotheses
@@ -31,17 +35,9 @@ vanishing on nontrivial class) into a VerificationReport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .analysis import (
-    classify_crossings,
-    is_adequate,
-    is_alternating,
-    is_connected,
-    is_in_disk,
-    state_counts,
-    z2_class,
-)
+from .analysis import profile
 from .diagram import AnnularDiagram
 from .laurent import LaurentPoly
 from .skein import bracket, bracket_gray
@@ -109,21 +105,19 @@ class LinkAssertions:
 def check_breadth_upper(d: AnnularDiagram) -> CheckRecord:
     """B <= 2(n + s_plus + s_minus) for trivial mod-2 class, with
     equality whenever the diagram is adequate on both sides."""
-    z2 = z2_class(d)
-    if z2 != 0:
+    p = profile(d)
+    if p.z2_class != 0:
         return CheckRecord(
             "breadth_upper",
-            (("z2_class", z2),),
+            (("z2_class", p.z2_class),),
             None,
             None,
             SKIP,
             "needs mod-2 class 0",
         )
-    sp, _, sm, _ = state_counts(d)
-    plus, minus = is_adequate(d)
-    adequate = plus and minus
+    adequate = p.plus_adequate and p.minus_adequate
     B = bracket_gray(d).breadth()
-    bound = 2 * (d.n + sp + sm)
+    bound = 2 * (p.n + p.s_plus + p.s_minus)
     hyp: Hyp = (("z2_class", 0), ("adequate", adequate))
     if B > bound:
         return CheckRecord("breadth_upper", hyp, B, bound, FAIL, "bound exceeded")
@@ -138,51 +132,50 @@ def check_breadth_upper(d: AnnularDiagram) -> CheckRecord:
 def check_state_count_bound(d: AnnularDiagram) -> CheckRecord:
     """s_plus + s_minus <= n+2 in a disk, n otherwise (connected,
     trivial mod-2 class)."""
-    conn = is_connected(d)
-    z2 = z2_class(d)
-    if not conn or z2 != 0:
+    p = profile(d)
+    if not p.connected or p.z2_class != 0:
         return CheckRecord(
             "state_count_bound",
-            (("connected", conn), ("z2_class", z2)),
+            (("connected", p.connected), ("z2_class", p.z2_class)),
             None,
             None,
             SKIP,
             "needs a connected diagram of mod-2 class 0",
         )
-    ind = is_in_disk(d)
-    sp, _, sm, _ = state_counts(d)
-    bound = d.n + 2 if ind else d.n
-    hyp: Hyp = (("connected", True), ("z2_class", 0), ("in_disk", ind))
-    verdict = PASS if sp + sm <= bound else FAIL
-    return CheckRecord("state_count_bound", hyp, sp + sm, bound, verdict)
+    states = p.s_plus + p.s_minus
+    bound = p.n + 2 if p.in_disk else p.n
+    hyp: Hyp = (("connected", True), ("z2_class", 0), ("in_disk", p.in_disk))
+    verdict = PASS if states <= bound else FAIL
+    return CheckRecord("state_count_bound", hyp, states, bound, verdict)
 
 
 def check_alternating_equality(d: AnnularDiagram) -> CheckRecord:
     """s_plus + s_minus = n+2 in a disk, n otherwise, for connected
     alternating diagrams of trivial mod-2 class."""
-    conn = is_connected(d)
-    alt = is_alternating(d)
-    z2 = z2_class(d)
-    if not conn or not alt or z2 != 0:
+    p = profile(d)
+    if not p.connected or not p.alternating or p.z2_class != 0:
         return CheckRecord(
             "alternating_equality",
-            (("connected", conn), ("alternating", alt), ("z2_class", z2)),
+            (
+                ("connected", p.connected),
+                ("alternating", p.alternating),
+                ("z2_class", p.z2_class),
+            ),
             None,
             None,
             SKIP,
             "needs a connected alternating diagram of mod-2 class 0",
         )
-    ind = is_in_disk(d)
-    sp, _, sm, _ = state_counts(d)
-    target = d.n + 2 if ind else d.n
+    states = p.s_plus + p.s_minus
+    target = p.n + 2 if p.in_disk else p.n
     hyp: Hyp = (
         ("connected", True),
         ("alternating", True),
         ("z2_class", 0),
-        ("in_disk", ind),
+        ("in_disk", p.in_disk),
     )
-    verdict = PASS if sp + sm == target else FAIL
-    return CheckRecord("alternating_equality", hyp, sp + sm, target, verdict)
+    verdict = PASS if states == target else FAIL
+    return CheckRecord("alternating_equality", hyp, states, target, verdict)
 
 
 def check_breadth_theorem(d: AnnularDiagram) -> CheckRecord:
@@ -190,37 +183,32 @@ def check_breadth_theorem(d: AnnularDiagram) -> CheckRecord:
     class; exact value 4n+4 / 4n-4k when also alternating with no
     fig2_type crossing (k counts fig3_type crossings, so k=0 gives the
     simple-diagram equality)."""
-    conn = is_connected(d)
-    z2 = z2_class(d)
-    if not conn or z2 != 0:
+    p = profile(d)
+    if not p.connected or p.z2_class != 0:
         return CheckRecord(
             "breadth_theorem",
-            (("connected", conn), ("z2_class", z2)),
+            (("connected", p.connected), ("z2_class", p.z2_class)),
             None,
             None,
             SKIP,
             "needs a connected diagram of mod-2 class 0",
         )
-    ind = is_in_disk(d)
-    alt = is_alternating(d)
-    tags = list(classify_crossings(d).values())
-    k3 = sum(1 for t in tags if t == "fig3_type")
-    fig2_free = all(t != "fig2_type" for t in tags)
+    fig2_free = not p.k_fig2  # None here means no crossings at all
     B = bracket_gray(d).breadth()
-    cap = 4 * d.n + 4 if ind else 4 * d.n
+    cap = 4 * p.n + 4 if p.in_disk else 4 * p.n
     hyp: Hyp = (
         ("connected", True),
         ("z2_class", 0),
-        ("in_disk", ind),
-        ("alternating", alt),
+        ("in_disk", p.in_disk),
+        ("alternating", p.alternating),
         ("fig2_free", fig2_free),
     )
     if B > cap:
         return CheckRecord("breadth_theorem", hyp, B, cap, FAIL, "upper bound exceeded")
-    if alt and fig2_free:
-        target = 4 * d.n + 4 if ind else 4 * d.n - 4 * k3
+    if p.alternating and fig2_free:
+        target = cap if p.in_disk else cap - 4 * p.k_fig3
         verdict = PASS if B == target else FAIL
-        note = "exact, k=%d" % k3
+        note = "exact, k=%d" % p.k_fig3
         return CheckRecord("breadth_theorem", hyp, B, target, verdict, note)
     return CheckRecord("breadth_theorem", hyp, B, cap, PASS, "upper bound only")
 
@@ -301,7 +289,7 @@ MAX_DUAL_ROUTE = 14  # both evaluators run, so cap the enumeration size
 
 
 def _check_vanishing(d: AnnularDiagram) -> CheckRecord:
-    z2 = z2_class(d)
+    z2 = profile(d).z2_class
     if z2 != 1:
         return CheckRecord(
             "vanishing_bracket",
@@ -319,15 +307,14 @@ def _check_vanishing(d: AnnularDiagram) -> CheckRecord:
 
 
 def _check_state_parity(d: AnnularDiagram) -> CheckRecord:
-    _, pp, _, pm = state_counts(d)
-    z2 = z2_class(d)
-    ok = pp % 2 == z2 and pm % 2 == z2
+    p = profile(d)
+    pp, pm, z2 = p.p_plus % 2, p.p_minus % 2, p.z2_class
     return CheckRecord(
         "state_parity",
         (),
-        "p(s+)%%2=%d p(s-)%%2=%d" % (pp % 2, pm % 2),
+        "p(s+)%%2=%d p(s-)%%2=%d" % (pp, pm),
         "z2=%d" % z2,
-        PASS if ok else FAIL,
+        PASS if pp == z2 and pm == z2 else FAIL,
     )
 
 

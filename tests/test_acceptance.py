@@ -306,22 +306,18 @@ def test_criterion_11_route_agreement():
         plain = bracket(d)
         if plain != bracket_gray(d):
             problems.append("sample %d: routes disagree" % i)
-        if plain != bracket_gray(d, threads=3):
-            problems.append("sample %d: threading changed the value" % i)
-    conclude(11, problems, "plain, incremental and threaded routes agree x60")
+    conclude(11, problems, "plain and incremental routes agree x60")
 
 
 def test_criterion_12_large_diagram_budget():
     d = closure([1, -2, 3] * 6 + [1, -2], 4)
     assert d.n == 20
     start = time.perf_counter()
-    single = bracket_gray(d)
+    poly = bracket_gray(d)
     elapsed = time.perf_counter() - start
     problems = []
     if elapsed >= 120.0:
-        problems.append("single-threaded run took %.1fs" % elapsed)
-    if single.is_zero():
+        problems.append("run took %.1fs" % elapsed)
+    if poly.is_zero():
         problems.append("20-crossing bracket vanished unexpectedly")
-    if bracket_gray(d, threads=4) != single:
-        problems.append("threaded rerun changed the polynomial")
     conclude(12, problems, "20 crossings in %.1fs, budget 120s" % elapsed)

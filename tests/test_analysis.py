@@ -147,3 +147,14 @@ class TestProfile:
         assert p.simple is None
         assert p.quasi_simple is None
         assert p.k_fig3 is None
+        assert p.k_fig2 is None
+
+    def test_memoised_on_the_diagram(self):
+        d = closure([1, -2, 3] * 2, 4)
+        assert profile(d) is profile(d)
+
+    def test_k_fig2_is_the_last_field(self):
+        rec = profile(closure([1], 2, disk=True)).as_record()
+        assert list(rec)[-1] == "k_fig2"
+        assert rec["k_fig2"] == 1
+        assert profile(from_free_loops([0])).k_fig2 is None  # no crossings

@@ -2,8 +2,11 @@
 
 import pytest
 
+from annulink import cli
 from annulink.cli import EXIT_CAP, EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
-from annulink.diagfile import load_diagram
+from annulink.diagfile import load_diagram, save_diagram
+from annulink.diagram import from_braid_closure
+from annulink.theorems import FAIL, CheckRecord, VerificationReport
 
 
 def run(capsys, *argv):
@@ -66,10 +69,11 @@ class TestBracket:
         assert rc == EXIT_OK
         assert out.strip() == "target=recipe bracket=-A^-3 breadth=0"
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, single, _ = run(capsys, "bracket", "zigzag_m2")
-        _, multi, _ = run(capsys, "--threads", "4", "bracket", "zigzag_m2")
-        assert single == multi
+    def test_threads_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads=2", "bracket", "unknot"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "--threads" in capsys.readouterr().err
 
     def test_crossing_cap(self, capsys):
         recipe = "braid 2: " + " ".join(["s1"] * 27)
@@ -103,6 +107,18 @@ class TestProps:
         assert rc == EXIT_OK
         assert "simple = -" in out
         assert "connected = 0" in out
+
+    @pytest.mark.parametrize(
+        "target,k_fig2",
+        [("fig4_left", "2"), ("braid 3: s1", "-"), ("unknot", "-")],
+    )
+    def test_record_ends_with_k_fig2_then_components(self, capsys, target, k_fig2):
+        rc, out, _ = run(capsys, "props", target)
+        assert rc == EXIT_OK
+        lines = out.splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert keys[-3:] == ["minus_adequate", "k_fig2", "components"]
+        assert lines[-2] == "k_fig2 = %s" % k_fig2
 
     def test_structured_is_one_line(self, capsys):
         rc, out, _ = run(capsys, "--format", "structured", "props", "unknot")
@@ -140,10 +156,38 @@ class TestVerify:
         assert "diagnostic: fig14" in out
         assert out.rstrip().splitlines()[-1] == "entries=21 pairs=4 status=failed"
 
-    def test_corpus_threads_identical(self, capsys):
-        _, single, _ = run(capsys, "verify", "corpus")
-        _, multi, _ = run(capsys, "--threads", "3", "verify", "corpus")
-        assert single == multi
+    def test_failing_file_is_read_once_and_dumped(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "trefoil.diag"
+        save_diagram(str(path), from_braid_closure([1, 1, 1], 2, disk=True))
+        loads, checked, dumped = [], [], []
+        load, verify, serialize = cli.load_diagram, cli.verify_all, cli.serialize_diagram
+
+        def counted_load(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        def failing_verify(d, *args, **kwargs):
+            checked.append(d)
+            report = verify(d, *args, **kwargs)
+            forced = CheckRecord("forced", (), 1, 2, FAIL)
+            return VerificationReport(
+                report.name, report.assumptions, report.records + (forced,)
+            )
+
+        def spied_serialize(d, *args, **kwargs):
+            dumped.append(d)
+            return serialize(d, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_diagram", counted_load)
+        monkeypatch.setattr(cli, "verify_all", failing_verify)
+        monkeypatch.setattr(cli, "serialize_diagram", spied_serialize)
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == EXIT_CHECK
+        assert "diagnostic: trefoil.diag" in out
+        assert "failed forced: left=1 right=2" in out
+        assert len(loads) == 1
+        assert len(checked) == 1 and len(dumped) == 1
+        assert dumped[0] is checked[0]
 
     def test_recipe_with_assumptions(self, capsys):
         rc, out, _ = run(

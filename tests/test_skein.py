@@ -131,10 +131,6 @@ class TestRoutes:
         for d in random_population(271, 40):
             assert bracket(d) == bracket_gray(d)
 
-    def test_gray_threads_deterministic(self):
-        d = closure([1, -2, 3, 1, -2, 3], 4)
-        assert bracket_gray(d, threads=1) == bracket_gray(d, threads=4)
-
     def test_mirror_diagram_matches_mirror_poly(self):
         for d in random_population(98, 15):
             assert bracket(mirror_diagram(d)) == bracket(d).mirror()
@@ -228,22 +224,22 @@ class TestExponentCongruence:
 
 
 class TestEvaluateOnce:
-    """Each diagram is evaluated at most once per route and chunk count."""
+    """Each diagram is evaluated at most once per route."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
         counts = {"gray": 0, "plain": 0}
-        gray_chunk, plain_states = skein._gray_chunk, skein._plain_states
+        gray_states, plain_states = skein._gray_states, skein._plain_states
 
         def counted_gray(*args, **kwargs):
             counts["gray"] += 1
-            return gray_chunk(*args, **kwargs)
+            return gray_states(*args, **kwargs)
 
         def counted_plain(*args, **kwargs):
             counts["plain"] += 1
             return plain_states(*args, **kwargs)
 
-        monkeypatch.setattr(skein, "_gray_chunk", counted_gray)
+        monkeypatch.setattr(skein, "_gray_states", counted_gray)
         monkeypatch.setattr(skein, "_plain_states", counted_plain)
         return counts
 
@@ -258,28 +254,15 @@ class TestEvaluateOnce:
         assert "jones = " in capsys.readouterr().out
         assert enumerations == {"gray": 1, "plain": 0}
 
-    def test_chunk_count_is_part_of_the_key(self, enumerations):
-        d = closure([1, -2, 3, 1, -2, 3], 4)
-        single = bracket_gray(d)
-        assert bracket_gray(d, threads=4) == single
-        assert bracket_gray(d, threads=4) == single
-        assert enumerations == {"gray": 1 + 4, "plain": 0}
-
 
 class TestOracleIndependence:
     def test_wrong_gray_memo_fails_route_check(self):
         d = closure([1, -2, 3, 1, -2, 3], 4)
-        d._cache["bracket:gray:1"] = LaurentPoly.parse("A^4")
+        d._cache["bracket:gray"] = LaurentPoly.parse("A^4")
         (record,) = [r for r in verify_all(d).records if r.check == "bracket_routes"]
         assert record.verdict == FAIL
         assert record.left == str(bracket(closure([1, -2, 3, 1, -2, 3], 4)))
         assert record.right == "A^4"
-
-    def test_every_chunk_count_matches_plain(self):
-        for d in random_population(4242, 25):
-            plain = bracket(d)
-            for k in range(1, 6):
-                assert bracket_gray(d, threads=k) == plain
 
 
 class TestCircleLabelling:

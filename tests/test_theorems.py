@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from annulink import analysis
+from annulink.analysis import is_adequate, z2_class
 from annulink.diagram import from_braid_closure, from_free_loops
 from annulink.laurent import DELTA, ZERO, LaurentPoly
 from annulink.theorems import (
@@ -203,3 +205,25 @@ class TestRecordFormat:
 
     def test_fail_is_not_skip(self):
         assert FAIL != SKIP
+
+
+class TestFactsDerivedOnce:
+    """verify_all reads every hypothesis from the diagram's one profile."""
+
+    def test_verify_all_resolves_no_more_than_profile(self, monkeypatch):
+        zigzag = [1, -2, 3] * 2
+        d = closure(zigzag, 4)
+        assert z2_class(d) == 0 and is_adequate(d) == (True, True)
+        calls = []
+        resolve = analysis.resolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "resolve", counted)
+        analysis.profile(closure(zigzag, 4))
+        by_profile = len(calls)
+        del calls[:]
+        assert verify_all(closure(zigzag, 4)).ok()
+        assert 0 < len(calls) <= by_profile
