@@ -79,14 +79,29 @@ def _fail_input(message: str) -> int:
 
 
 def _load_target(arg: str) -> Tuple[str, AnnularDiagram]:
-    """Resolve a diagram argument to (display name, diagram)."""
-    if os.path.exists(arg):
-        d, _meta = load_diagram(arg)
-        return os.path.basename(arg), d
-    if arg in corpus_mod.ENTRIES:
-        return arg, corpus_mod.get(arg).build()
-    if is_recipe(arg):
-        return "recipe", parse_recipe(arg)
+    """Resolve a diagram argument to (display name, diagram).
+
+    Every argument that gives no diagram raises DiagramFormatError: a
+    path that cannot be read or is not UTF-8 text, and a recipe or file
+    that a diagram builder rejects, as well as malformed text."""
+    try:
+        if os.path.exists(arg):
+            d, _meta = load_diagram(arg)
+            return os.path.basename(arg), d
+        if arg in corpus_mod.ENTRIES:
+            return arg, corpus_mod.get(arg).build()
+        if is_recipe(arg):
+            return "recipe", parse_recipe(arg)
+    except DiagramFormatError:
+        raise
+    except OSError as exc:
+        message = "cannot read %r: %s" % (arg, exc.strerror or exc)
+        raise DiagramFormatError(0, message) from exc
+    except UnicodeDecodeError as exc:
+        message = "%r is not UTF-8 text: %s" % (arg, exc.reason)
+        raise DiagramFormatError(0, message) from exc
+    except ValueError as exc:  # a builder rejected the diagram
+        raise DiagramFormatError(0, str(exc)) from exc
     raise DiagramFormatError(
         0,
         "%r is not a file, corpus entry or recipe (corpus entries: %s)"

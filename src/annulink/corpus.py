@@ -25,8 +25,8 @@ run surfaces the discrepancy instead of hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .analysis import profile
 from .diagfile import parse_recipe
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One named diagram plus the values rechecked against it."""
 
     name: str
@@ -58,7 +57,7 @@ class CorpusEntry:
     note: str
     expected_bracket: Optional[str] = None
     expected_breadth: Optional[int] = None
-    expected_profile: Mapping[str, object] = field(default_factory=dict)
+    expected_profile: Mapping[str, object] = MappingProxyType({})
 
     def build(self) -> AnnularDiagram:
         return build(self.recipe)

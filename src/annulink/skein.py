@@ -46,6 +46,7 @@ __all__ = [
     "alpha_walk_oracle",
     "resolve",
     "state_circles",
+    "flip_counts",
     "bracket",
     "bracket_gray",
     "writhe",
@@ -116,28 +117,92 @@ def _partner_for(sign: int, h: int) -> int:
     return h ^ (3 if sign > 0 else 1)  # slot s pairs with 3-s (+1) or s^1 (-1)
 
 
-def _label_circles(d: AnnularDiagram, signs: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """(circle index of every half-edge, parity of every circle) for one
-    smoothing, free loops excluded.  Circles are numbered in the order
-    of their smallest half-edge."""
+def _label_circles(
+    d: AnnularDiagram, signs: Sequence[int]
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Trace every circle of one smoothing, free loops excluded.
+
+    Returns (circle, parity, pos, prefix): the circle index of every
+    half-edge, the parity of every circle, and for every half-edge its
+    position along its circle and the parity of the edges crossed
+    before reaching it.  Circles are numbered, and traced, from their
+    smallest half-edge; the trace leaves an even position along an edge
+    and an odd position along an arc of the smoothing."""
     order, mate, epar = _tables(d)
     ident = [-1] * (4 * len(order))
+    pos = [0] * len(ident)
+    prefix = [0] * len(ident)
     parity: List[int] = []
     for h0 in range(len(ident)):
         if ident[h0] >= 0:
             continue
         k = len(parity)
         par = 0
+        step = 0
         cur = h0
         while True:
             m = mate[cur]
             ident[cur] = ident[m] = k
+            pos[cur], pos[m] = step, step + 1
+            prefix[cur] = par
             par ^= epar[cur]
+            prefix[m] = par
+            step += 2
             cur = m ^ 3 if signs[m >> 2] > 0 else m ^ 1
             if cur == h0:
                 break
         parity.append(par)
-    return ident, parity
+    return ident, parity, pos, prefix
+
+
+def flip_counts(d: AnnularDiagram, sign: int) -> Tuple[int, int, List[int]]:
+    """(trivial, essential, flipped) for the constant smoothing of ``sign``.
+
+    ``flipped[i]`` is the trivial-circle count of the smoothing that
+    differs from the constant one at crossing i alone.  One trace of
+    the constant smoothing gives all of them.  Flipping crossing i
+    removes its two arcs and joins their four ends the other way:
+
+    * arcs on two circles: the circles merge, and the merged parity is
+      the xor of theirs, so two essential circles merge into a trivial
+      one;
+    * arcs on one circle: cutting both leaves two paths, each running
+      from the end an arc leaves to the end the other arc enters.  If
+      each new arc closes one path the circle splits, and the edges
+      between the cut points give the two parities (a prefix difference
+      and its complement, in either order); otherwise the circle
+      reconnects to itself and nothing changes.  A planar map always
+      splits; reconnecting needs a map that is not planar, which a file
+      that fails `validate` can still give.
+
+    Free loops are counted in ``trivial`` and ``essential``.
+    """
+    if sign not in (1, -1):
+        raise ValueError("smoothing signs must be +1 or -1")
+    ident, parity, pos, prefix = _label_circles(d, [sign] * d.n)
+    trivial = parity.count(0) + d.free_loops.count(0)
+    essential = len(parity) + len(d.free_loops) - trivial
+    old = 3 if sign > 0 else 1  # h ^ old: the partner of h now
+    new = old ^ 2  # h ^ new: the partner of h after the flip
+    flipped = []
+    for j in range(0, 4 * d.n, 4):
+        # arc 1 joins j and j ^ old, arc 2 joins j ^ new and j ^ 2
+        a, b = ident[j], ident[j ^ new]
+        pa = parity[a]
+        if a != b:
+            pb = parity[b]
+            flipped.append(trivial - (pa == 0) - (pb == 0) + (pa == pb))
+            continue
+        # The trace comes off arc 1 at `leaves`, runs along a path and goes
+        # onto arc 2 at `enters`; that path closes iff a new arc joins them.
+        leaves = j if pos[j] % 2 == 0 else j ^ old
+        enters = j ^ 2 if pos[j ^ 2] % 2 else j ^ new
+        if leaves ^ new != enters:
+            flipped.append(trivial)
+            continue
+        q = prefix[leaves] ^ prefix[enters]
+        flipped.append(trivial - (pa == 0) + (q == 0) + (q == pa))
+    return trivial, essential, flipped
 
 
 def _state_signs(
@@ -184,7 +249,7 @@ def state_circles(
     is deterministic: circles appear by their smallest corner in table
     order, then free loops in diagram order.
     """
-    ident, parity = _label_circles(d, _state_signs(d, state))
+    ident, parity = _label_circles(d, _state_signs(d, state))[:2]
     order = _tables(d)[0]
     corners: List[List[Tuple[str, int]]] = [[] for _ in parity]
     for h, k in enumerate(ident):
@@ -281,7 +346,7 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     partner = [_partner_for(1, h) for h in range(total)]
 
     # Circle decomposition of the all-plus state.
-    ident, seed_parity = _label_circles(d, signs)
+    ident, seed_parity = _label_circles(d, signs)[:2]
     parity: Dict[int, int] = dict(enumerate(seed_parity))
     next_id = len(seed_parity)
     ntriv = seed_parity.count(0)

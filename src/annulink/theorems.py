@@ -34,8 +34,7 @@ vanishing on nontrivial class) into a VerificationReport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .analysis import profile
 from .diagram import AnnularDiagram
@@ -62,8 +61,7 @@ SKIP = "hypotheses-not-met"
 Hyp = Tuple[Tuple[str, object], ...]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of one check on one diagram."""
 
     check: str
@@ -85,8 +83,7 @@ class CheckRecord:
         return body
 
 
-@dataclass(frozen=True)
-class LinkAssertions:
+class LinkAssertions(NamedTuple):
     """Facts about the represented link that no diagram computation can
     settle; callers assert them and reports carry them verbatim."""
 
@@ -213,8 +210,7 @@ def check_breadth_theorem(d: AnnularDiagram) -> CheckRecord:
     return CheckRecord("breadth_theorem", hyp, B, cap, PASS, "upper bound only")
 
 
-@dataclass(frozen=True)
-class NonAlternatingCall:
+class NonAlternatingCall(NamedTuple):
     """Which non-alternation clause fires for a bracket polynomial.
 
     ``case`` is the lowest-numbered firing clause (0 when none fires);
@@ -336,8 +332,7 @@ def _check_dual_route(d: AnnularDiagram) -> CheckRecord:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All check outcomes for one diagram."""
 
     name: str

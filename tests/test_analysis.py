@@ -1,7 +1,12 @@
 """Diagram predicates: class, alternation, crossing types, adequacy."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annulink import skein
 from annulink.analysis import (
     classify_crossings,
     is_adequate,
@@ -14,8 +19,10 @@ from annulink.analysis import (
     state_counts,
     z2_class,
 )
-from annulink.diagram import from_braid_closure, from_free_loops
-from annulink.skein import resolve, state_circles
+from annulink.corpus import ENTRIES, get
+from annulink.diagram import AnnularDiagram, from_braid_closure, from_free_loops
+from annulink.generate import r_move_perturbations
+from annulink.skein import flip_counts, resolve, state_circles
 
 
 def closure(word, strands, disk=False):
@@ -94,6 +101,103 @@ class TestStateCounts:
         sp, pp, sm, pm = state_counts(d)
         assert (sp, pp) == (1, 1)
         assert (sm, pm) == (1, 1)
+
+
+def one_flip_scan(d, sign):
+    """The literal definition, resolved from scratch: the circle counts of
+    the constant smoothing and the trivial count after each single flip."""
+    n = d.n
+    flipped = []
+    for i in range(n):
+        signs = [sign] * n
+        signs[i] = -sign
+        flipped.append(resolve(d, signs)[0])
+    return resolve(d, [sign] * n), flipped
+
+
+def literal_adequacy(d):
+    """(plus, minus) adequacy by the 2n + 2 resolve scan."""
+    out = []
+    for sign in (1, -1):
+        (trivial, _), flipped = one_flip_scan(d, sign)
+        out.append(all(t < trivial for t in flipped))
+    return tuple(out)
+
+
+def random_diagram(kind, seed):
+    rng = random.Random(seed)
+    if kind == "maps":
+        # any pairing of slots, planar or not: a file need not pass
+        # validate() before props reads it
+        n = rng.randint(1, 6)
+        slots = list(range(4 * n))
+        rng.shuffle(slots)
+        edge = [""] * (4 * n)
+        for k in range(0, 4 * n, 2):
+            edge[slots[k]] = edge[slots[k + 1]] = "e%d" % k
+        crossings = {"x%d" % i: tuple(edge[4 * i:4 * i + 4]) for i in range(n)}
+        return AnnularDiagram(crossings, {e: rng.randint(0, 1) for e in set(edge)})
+    if kind == "loops":
+        return from_free_loops([rng.randint(0, 1) for _ in range(rng.randint(0, 5))])
+    strands = rng.randint(2, 5)  # short words leave some strands as free loops
+    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))]
+    d = closure(word, strands, disk=kind == "disk")
+    if kind == "kinks":
+        d = r_move_perturbations(1, seed, base=d if d.n else None)[0]
+    return d
+
+
+class TestOneFlipCounts:
+    """`flip_counts` against the from-scratch scan, state by state."""
+
+    @staticmethod
+    def agree(d):
+        for sign in (1, -1):
+            (trivial, essential), flipped = one_flip_scan(d, sign)
+            assert flip_counts(d, sign) == (trivial, essential, flipped)
+        assert is_adequate(d) == literal_adequacy(d)
+
+    @given(
+        st.sampled_from(("annulus", "disk", "kinks", "loops", "maps")),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_diagrams(self, kind, seed):
+        self.agree(random_diagram(kind, seed))
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_corpus(self, name):
+        self.agree(get(name).build())
+
+    def test_sign_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError):
+            flip_counts(closure([1], 2), 0)
+
+    def test_each_kind_of_flip(self):
+        # two essential circles merge into a trivial one (annulus only)
+        assert flip_counts(closure([1], 2), 1) == (0, 2, [1])
+        # a trivial circle splits into two trivial or two essential ones
+        assert flip_counts(closure([1, -1], 2), 1) == (1, 0, [2, 0])
+        # an essential circle splits into a trivial and an essential one
+        assert flip_counts(closure([1, 2], 3), -1) == (0, 1, [1, 1])
+        # opposite slots joined (not planar): the circle reconnects to itself
+        virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
+        assert flip_counts(virtual, 1) == (0, 1, [0])
+
+    def test_profile_traces_each_constant_state_once(self, monkeypatch):
+        calls = []
+        label = skein._label_circles
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(skein, "_label_circles", counted)
+        d = closure([1, -2, 3] * 4, 4)
+        assert d.n == 12
+        p = profile(d)
+        assert sorted(signs[0] for signs in calls) == [-1, 1]
+        assert (p.plus_adequate, p.minus_adequate) == (True, True)
 
 
 class TestAdequacy:

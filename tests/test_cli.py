@@ -1,5 +1,10 @@
 """Command line behavior: output shapes and the frozen exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from annulink import cli
@@ -36,6 +41,31 @@ class TestValidate:
         rc, _, err = run(capsys, "validate", str(path))
         assert rc == EXIT_INPUT
         assert err.startswith("line 1:")
+
+
+@pytest.mark.parametrize("sub", ["validate", "bracket", "props", "verify"])
+class TestUnreadableInput:
+    """An argument that gives no diagram exits 2 with a one-line message
+    in every subcommand, never with a traceback."""
+
+    @staticmethod
+    def rejected(capsys, sub, arg):
+        rc, out, err = run(capsys, sub, arg)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        return err
+
+    def test_directory(self, capsys, tmp_path, sub):
+        assert "Is a directory" in self.rejected(capsys, sub, str(tmp_path))
+
+    def test_non_utf8_file(self, capsys, tmp_path, sub):
+        path = tmp_path / "latin1.diag"
+        path.write_bytes(b"[meta]\nname caf\xe9\n")
+        assert "not UTF-8" in self.rejected(capsys, sub, str(path))
+
+    def test_recipe_rejected_by_the_builder(self, capsys, sub):
+        assert "out of range" in self.rejected(capsys, sub, "braid 2: s1 s3")
 
 
 class TestBracket:
@@ -226,3 +256,22 @@ class TestGenerate:
         )
         assert rc == EXIT_INPUT
         assert "unknown family" in err
+
+
+def test_import_stays_light():
+    # dataclasses pulls in inspect, ast and dis, which every CLI call
+    # would pay for at start-up
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = (
+        "import sys, annulink.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -215,13 +215,13 @@ class TestFactsDerivedOnce:
         d = closure(zigzag, 4)
         assert z2_class(d) == 0 and is_adequate(d) == (True, True)
         calls = []
-        resolve = analysis.resolve
+        trace = analysis.flip_counts  # each call traces one constant state
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return resolve(*args, **kwargs)
+            return trace(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "resolve", counted)
+        monkeypatch.setattr(analysis, "flip_counts", counted)
         analysis.profile(closure(zigzag, 4))
         by_profile = len(calls)
         del calls[:]
