@@ -107,29 +107,41 @@ class AnnularDiagram:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self) -> List[str]:
-        """Return all structural violations (empty list == valid)."""
-        bad: List[str] = []
-        for cid, slots in self.crossings.items():
-            if len(slots) != 4:
-                bad.append("crossing %s has %d slots, expected 4" % (cid, len(slots)))
-        for eid, p in self.edge_parity.items():
-            if p not in (0, 1):
-                bad.append("edge %s has parity %r, expected 0 or 1" % (eid, p))
-        for i, p in enumerate(self.free_loops):
-            if p not in (0, 1):
-                bad.append("free loop %d has parity %r, expected 0 or 1" % (i, p))
-
-        seen: Dict[str, int] = {}
-        for cid, slots in self.crossings.items():
-            for eid in slots:
-                if eid not in self.edge_parity:
-                    bad.append("crossing %s references undeclared edge %s" % (cid, eid))
-                seen[eid] = seen.get(eid, 0) + 1
-        for eid in self.edge_parity:
-            count = seen.get(eid, 0)
-            if count != 2:
-                bad.append("edge %s has %d incidences, expected 2" % (eid, count))
+    def reference_violations(self) -> List[str]:
+        """The violations found in O(n) without tracing a face: slot
+        counts, parity bits, edges that are undeclared or not met exactly
+        twice, and boundary markers that name no corner of the diagram.
+        A diagram with none of these can be traced; `validate` runs
+        these checks first."""
+        crossings, parity = self.crossings, self.edge_parity
+        bad = [
+            "crossing %s has %d slots, expected 4" % (cid, len(slots))
+            for cid, slots in crossings.items()
+            if len(slots) != 4
+        ]
+        bad += [
+            "edge %s has parity %r, expected 0 or 1" % (eid, p)
+            for eid, p in parity.items()
+            if p not in (0, 1)
+        ]
+        bad += [
+            "free loop %d has parity %r, expected 0 or 1" % (i, p)
+            for i, p in enumerate(self.free_loops)
+            if p not in (0, 1)
+        ]
+        ends = self.edge_ends()
+        if ends.keys() != parity.keys() or set(map(len, ends.values())) != {2}:
+            bad += [
+                "crossing %s references undeclared edge %s" % (cid, eid)
+                for cid, slots in crossings.items()
+                for eid in slots
+                if eid not in parity
+            ]
+            bad += [
+                "edge %s has %d incidences, expected 2" % (eid, len(ends.get(eid, ())))
+                for eid in parity
+                if len(ends.get(eid, ())) != 2
+            ]
 
         for label, ref in zip(("inner", "outer"), self.external):
             if ref == UNBOUNDED:
@@ -146,7 +158,11 @@ class AnnularDiagram:
                 bad.append("%s designator must be unbounded in a crossingless diagram" % label)
             else:
                 bad.append("%s designator %r is malformed" % (label, ref))
+        return bad
 
+    def validate(self) -> List[str]:
+        """Return all structural violations (empty list == valid)."""
+        bad = self.reference_violations()
         if bad:
             return bad  # map-level checks need a structurally sound diagram
 
@@ -599,7 +615,7 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     out = AnnularDiagram(crossings, parity, d.free_loops, d.external)
     bad = out.validate()
     if bad:
-        raise AssertionError("finger move produced an invalid map: %s" % "; ".join(bad))
+        raise ValueError("finger move produced an invalid map: %s" % "; ".join(bad))
     return out
 
 

@@ -21,8 +21,11 @@ Normalization: the empty diagram evaluates to 1, a nullhomotopic
 unknot to delta, a single essential circle to 0.
 
 `bracket_gray` visits the 2^n smoothings in one Gray-code walk from
-the all-plus state, updating the circle decomposition incrementally at
-the one crossing that changed; it is the route used in production.
+the all-plus state and is the route used in production.  At each step
+it flips one crossing and relabels, in place, only the path whose
+circle changed; ids of dead circles are reused, and the circle counts
+of the current state are one packed integer key, unpacked into the
+histogram once at the end.
 `bracket` enumerates them independently and is its oracle: the two
 must always agree and are never merged.  Each memoises its value on
 the diagram under its own key, so a diagram is evaluated at most once
@@ -54,6 +57,13 @@ __all__ = [
 ]
 
 MAX_CROSSINGS = 26
+
+# The Gray walk packs (minus signs, trivial, essential circles) into one
+# int, a field each; a state of n crossings has at most 2n circles.
+_BITS = (2 * MAX_CROSSINGS).bit_length()
+_FIELD = (1 << _BITS) - 1
+_TRIVIAL = 1 << _BITS
+_ESSENTIAL = 1 << 2 * _BITS
 
 
 class BracketSizeError(ValueError):
@@ -111,10 +121,6 @@ def _tables(d: AnnularDiagram) -> Tuple[List[str], List[int], List[int]]:
             epar[h1] = epar[h2] = d.edge_parity[eid]
         d._cache["skein_tables"] = (order, mate, epar)
     return d._cache["skein_tables"]  # type: ignore[return-value]
-
-
-def _partner_for(sign: int, h: int) -> int:
-    return h ^ (3 if sign > 0 else 1)  # slot s pairs with 3-s (+1) or s^1 (-1)
 
 
 def _label_circles(
@@ -335,94 +341,81 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 
 def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     """Histogram of smoothing invariants over all 2^n states, visited in
-    Gray-code order from the all-plus state."""
+    Gray-code order from the all-plus state.
+
+    Flipping crossing t replaces its two arcs.  If they lay on two
+    circles, the path of the second one is relabelled into the first and
+    the merged parity is the xor of the two.  If they lay on one circle,
+    the path from half-edge 4t round to its new partner is relabelled
+    with a fresh id: it either closed (a split, the rest keeps the old
+    id and parity) or ran through the whole circle (it reconnected to
+    itself, and the old id is freed).  Dead ids are reused, so at most
+    2n + 1 slots are ever live.  The counts sit in one packed key,
+    unpacked once at the end."""
     order, mate, epar = _tables(d)
     n = len(order)
-    total = 4 * n
-    free_triv = sum(1 for p in d.free_loops if p == 0)
-    free_ess = len(d.free_loops) - free_triv
-
-    signs = [1] * n
-    partner = [_partner_for(1, h) for h in range(total)]
-
-    # Circle decomposition of the all-plus state.
-    ident, seed_parity = _label_circles(d, signs)[:2]
-    parity: Dict[int, int] = dict(enumerate(seed_parity))
-    next_id = len(seed_parity)
-    ntriv = seed_parity.count(0)
-    ness = next_id - ntriv
-
-    def walk(h0: int) -> Tuple[List[int], int]:
+    ident, seed = _label_circles(d, [1] * n)[:2]
+    parity = seed + [0] * (2 * n + 1 - len(seed))
+    free = list(range(len(parity) - 1, len(seed) - 1, -1))
+    partner = [h ^ 3 for h in range(4 * n)]
+    unit = (_TRIVIAL, _ESSENTIAL)  # key step per circle of parity 0, 1
+    key = seed.count(0) * _TRIVIAL + (len(seed) - seed.count(0)) * _ESSENTIAL
+    counts: Dict[int, int] = {}
+    for i in range(1, 1 << n):
+        try:
+            counts[key] += 1
+        except KeyError:
+            counts[key] = 1
+        t = (i & -i).bit_length() - 1  # the crossing to flip
+        j = 4 * t
+        if partner[j] == j + 3:  # + to -: arcs j-(j+1), (j+2)-(j+3)
+            partner[j], partner[j + 1], partner[j + 2], partner[j + 3] = j + 1, j, j + 3, j + 2
+            key += 1
+            nj = j + 1
+        else:  # - to +: arcs j-(j+3), (j+1)-(j+2)
+            partner[j], partner[j + 1], partner[j + 2], partner[j + 3] = j + 3, j + 2, j + 1, j
+            key -= 1
+            nj = j + 3
+        ia, ib = ident[j], ident[j ^ 2]
+        if ia != ib:
+            # merge: ib's path runs from j ^ 2 round to nj, the other end
+            # of its old arc, through no arc of crossing t
+            cur = j ^ 2
+            while True:
+                m = mate[cur]
+                ident[cur] = ident[m] = ia
+                if m == nj:
+                    break
+                cur = partner[m]
+            pa, pb = parity[ia], parity[ib]
+            parity[ia] = pa ^ pb
+            key += unit[pa ^ pb] - unit[pa] - unit[pb]
+            free.append(ib)
+            continue
+        k = free.pop()
         par = 0
-        cur = h0
-        members = []
+        cur = j
         while True:
             m = mate[cur]
-            members.append(cur)
-            members.append(m)
+            ident[cur] = ident[m] = k
             par ^= epar[cur]
-            cur = partner[m]
-            if cur == h0:
+            if m == nj:
                 break
-        return members, par
-
+            cur = partner[m]
+        pa = parity[ia]
+        if ident[j ^ 2] == k:  # reconnected: the whole circle moved to k
+            parity[k] = pa
+            free.append(ia)
+        else:
+            parity[k], parity[ia] = par, pa ^ par
+            key += unit[par] + unit[pa ^ par] - unit[pa]
+    counts[key] = counts.get(key, 0) + 1  # the last state of the walk
+    free_triv = d.free_loops.count(0)
+    free_ess = len(d.free_loops) - free_triv
     hist: Dict[Tuple[int, int, int], int] = {}
-    states = 1 << n
-    pop = 0
-    for i in range(1, states + 1):
-        key = (n - 2 * pop, ntriv + free_triv, ness + free_ess)
-        hist[key] = hist.get(key, 0) + 1
-        if i == states:
-            break
-        t = (i & -i).bit_length() - 1  # flipped crossing
-        j = 4 * t
-        old_sign = signs[t]
-        new_sign = -old_sign
-        signs[t] = new_sign
-        pop += 1 if new_sign < 0 else -1
-        if old_sign > 0:
-            ia, ib = ident[j], ident[j + 1]  # arcs (j,j+3) and (j+1,j+2)
-        else:
-            ia, ib = ident[j], ident[j + 2]  # arcs (j,j+1) and (j+2,j+3)
-        for h in (j, j + 1, j + 2, j + 3):
-            partner[h] = _partner_for(new_sign, h)
-        if ia != ib:
-            # merge two circles
-            members, par = walk(j)
-            for h in members:
-                ident[h] = next_id
-            for dead in (ia, ib):
-                if parity.pop(dead):
-                    ness -= 1
-                else:
-                    ntriv -= 1
-            parity[next_id] = par
-            if par:
-                ness += 1
-            else:
-                ntriv += 1
-            next_id += 1
-        else:
-            members, par = walk(j)
-            other = j + 1 if new_sign > 0 else j + 2  # on the second new arc
-            if other in members:
-                continue  # circle reconnected to itself: nothing changed
-            members2, par2 = walk(other)
-            for h in members:
-                ident[h] = next_id
-            for h in members2:
-                ident[h] = next_id + 1
-            if parity.pop(ia):
-                ness -= 1
-            else:
-                ntriv -= 1
-            for new_id, new_par in ((next_id, par), (next_id + 1, par2)):
-                parity[new_id] = new_par
-                if new_par:
-                    ness += 1
-                else:
-                    ntriv += 1
-            next_id += 2
+    for key, count in counts.items():
+        pop, triv, ess = key & _FIELD, key >> _BITS & _FIELD, key >> 2 * _BITS
+        hist[(n - 2 * pop, triv + free_triv, ess + free_ess)] = count
     return hist
 
 
@@ -430,8 +423,10 @@ def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     """Bracket via Gray-code enumeration with incremental circle updates.
 
     One walk visits every smoothing from the all-plus state, flipping
-    one crossing per step and re-tracing only the circles through it.
-    The value is memoised on the diagram under this route's own key.
+    one crossing per step and relabelling in place only the path whose
+    circle changed.  Ids of dead circles are reused, and the counts are
+    kept in one packed key per state, unpacked once at the end.  The
+    value is memoised on the diagram under this route's own key.
     """
     _check_size(d)
     if "bracket:gray" not in d._cache:
@@ -473,7 +468,7 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
     total = 0
     for c, seen in exits.items():
         if len(seen) != 2:
-            raise AssertionError("crossing %s missing a passage" % c)
+            raise ValueError("crossing %s missing a passage" % c)
         total += 1 if seen["under"] == (seen["over"] - 1) % 4 else -1
     return total
 

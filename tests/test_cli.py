@@ -68,6 +68,87 @@ class TestUnreadableInput:
         assert "out of range" in self.rejected(capsys, sub, "braid 2: s1 s3")
 
 
+def one_crossing_file(tmp_path, old, new):
+    """The one-crossing corpus diagram saved with one token replaced."""
+    path = tmp_path / "broken.diag"
+    save_diagram(str(path), from_braid_closure([1], 2))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+BROKEN_REFERENCES = {
+    # both ends of e0 renamed to an edge the [edges] section never declares
+    "undeclared_edge": ("x1 e0 e1 e1 e0", "x1 zz e1 e1 zz", "references undeclared edge zz"),
+    "marker_unknown_crossing": ("inner x1:", "inner q9:", "names unknown crossing 'q9'"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BROKEN_REFERENCES))
+class TestBrokenReferences:
+    """A file whose edge or marker references are broken exits 2 with one
+    line on stderr; `validate` still lists every violation and exits 1."""
+
+    @pytest.mark.parametrize("sub", ["bracket", "props", "verify"])
+    def test_rejected(self, capsys, tmp_path, row, sub):
+        old, new, message = BROKEN_REFERENCES[row]
+        rc, out, err = run(capsys, sub, one_crossing_file(tmp_path, old, new))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1, err
+        assert message in err
+
+    def test_validate_lists_the_violations(self, capsys, tmp_path, row):
+        old, new, message = BROKEN_REFERENCES[row]
+        rc, out, err = run(capsys, "validate", one_crossing_file(tmp_path, old, new))
+        assert (rc, err) == (EXIT_CHECK, "")
+        assert message in out.splitlines()[0]
+
+
+class TestParserBuiltOnce:
+    ARGV = [
+        ["bracket", "braid 2: s1 s1 s1", "--jones"],
+        ["--threads=2", "bracket", "unknot"],
+        ["props", "no-such-thing"],
+        ["--format", "structured", "props", "one_crossing"],
+        ["bracket", "--help"],
+        ["verify", "braid 3: s1 s3"],
+        ["validate", "unknot"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, call, argv):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def fresh(argv):
+        args = cli._build_parser().parse_args(argv)
+        return args.func(args)
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        for _ in range(3):
+            for argv in self.ARGV:
+                assert self.outcome(capsys, main, argv) == self.outcome(capsys, self.fresh, argv)
+        assert len(built) == 1 + 3 * len(self.ARGV)  # one for main, one per fresh call
+        assert {self.outcome(capsys, main, argv)[0] for argv in self.ARGV} == {
+            EXIT_OK, EXIT_INPUT, ("exit", 0), ("exit", 2)
+        }
+
+
 class TestBracket:
     def test_single_crossing(self, capsys):
         rc, out, _ = run(capsys, "bracket", "one_crossing")

@@ -145,6 +145,12 @@ class TestMoves:
         assert d2.n == d.n + 2
         assert d2.validate() == []
 
+    def test_r2_to_an_invalid_map_raises_value_error(self):
+        # no boundary markers, so the moved map fails validate()
+        d = AnnularDiagram({"x0": ("e2", "e0", "e0", "e2")}, {"e2": 0, "e0": 1})
+        with pytest.raises(ValueError, match="invalid map"):
+            insert_r2(d, "e2", "e0")
+
     def test_full_twist_is_word_level(self):
         w = apply_full_twist([1], 2)
         assert w[: 1] == [1]

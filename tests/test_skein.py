@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from annulink import cli, skein
 from annulink.analysis import is_connected, z2_class
+from annulink.corpus import ENTRIES, get
 from annulink.diagram import (
+    AnnularDiagram,
     apply_full_twist,
     from_braid_closure,
     from_free_loops,
@@ -31,6 +33,7 @@ from annulink.skein import (
     writhe,
 )
 from annulink.theorems import FAIL, verify_all
+from test_analysis import random_diagram
 
 
 def closure(word, strands, disk=False):
@@ -141,6 +144,45 @@ class TestRoutes:
             bracket(d)
 
 
+class TestGrayKernel:
+    """The Gray walk's whole histogram equals the plain enumeration's, not
+    only the polynomial the two assemble to."""
+
+    @given(
+        st.sampled_from(("annulus", "disk", "kinks", "loops", "maps")),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_diagrams(self, kind, seed):
+        d = random_diagram(kind, seed)
+        assert skein._gray_states(d) == skein._plain_states(d)
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_corpus(self, name):
+        d = get(name).build()
+        assert skein._gray_states(d) == skein._plain_states(d)
+
+    def test_circle_reconnecting_to_itself(self):
+        # opposite slots joined (not planar): flipping reconnects the one circle
+        virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
+        assert skein._gray_states(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
+        assert skein._gray_states(virtual) == skein._plain_states(virtual)
+
+    def test_free_loops_of_both_parities(self):
+        base = closure([1, -2, 1, 2], 3)
+        d = AnnularDiagram(base.crossings, base.edge_parity, (0, 1, 1, 0, 1), base.external)
+        hist = skein._gray_states(d)
+        assert hist == skein._plain_states(d)
+        shifted = {(s, t + 2, e + 3): c for (s, t, e), c in skein._gray_states(base).items()}
+        assert hist == shifted
+
+    def test_packed_fields_hold_the_largest_state(self):
+        # minus signs <= n and circles <= 2n, each in its own field
+        assert 2 * MAX_CROSSINGS <= skein._FIELD
+        assert skein._TRIVIAL == skein._FIELD + 1
+        assert skein._ESSENTIAL == skein._TRIVIAL << skein._BITS
+
+
 class TestMoves:
     def test_r2_invariance(self):
         rng = random.Random(5)
@@ -200,6 +242,12 @@ class TestWritheJones:
         d = closure([1, 1], 2)
         with pytest.raises(ValueError):
             jones(d, [1])
+
+    def test_walks_missing_a_passage_raise_value_error(self):
+        d = closure([1], 2)
+        d._cache["walks"] = (((next(iter(d.crossings)), 0),),)  # no over-strand
+        with pytest.raises(ValueError, match="missing a passage"):
+            writhe(d)
 
 
 class TestExponentCongruence:
