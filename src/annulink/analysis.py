@@ -34,7 +34,7 @@ generator, and the from-scratch one-flip scan as the oracle).
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagram import AnnularDiagram
 from .skein import flip_counts
@@ -72,8 +72,7 @@ def is_connected(d: AnnularDiagram) -> bool:
         return len(d.free_loops) == 1
     if d.free_loops:
         return False
-    comp = d._crossing_components()
-    return len(set(comp.values())) == 1
+    return len(set(d.half_edges().comp)) == 1
 
 
 def is_in_disk(d: AnnularDiagram) -> bool:
@@ -94,9 +93,10 @@ def is_in_disk(d: AnnularDiagram) -> bool:
 def is_alternating(d: AnnularDiagram) -> bool:
     """True iff every strand walk meets over- and under-passages
     alternately around its full circuit.  Slots 0 and 2 are under,
-    1 and 3 over.  Free loops are vacuously alternating."""
-    for walk in d.strand_walks():
-        kinds = [s % 2 for _, s in walk]
+    1 and 3 over, so the kind of an arrival half-edge h is h & 1.  Free
+    loops are vacuously alternating."""
+    for walk in d.half_edges().walks:
+        kinds = [h & 1 for h in walk]
         m = len(kinds)
         if any(kinds[i] == kinds[(i + 1) % m] for i in range(m)):
             return False
@@ -113,14 +113,18 @@ def classify_crossings(d: AnnularDiagram) -> Dict[str, str]:
     """
     if not is_connected(d):
         raise ValueError("crossing classification needs a connected diagram")
-    if d.n == 0:
-        return {}
-    table = d.corner_face()
+    return dict(zip(d.crossings, _crossing_tags(d)))
+
+
+def _crossing_tags(d: AnnularDiagram) -> List[str]:
+    """`classify_crossings` tags in crossing order, read off the face of
+    each corner (connected diagrams only)."""
+    face = d.half_edges().face
     ext = d.external_face_indices()
     external = set(ext) if ext is not None else set()
-    tags: Dict[str, str] = {}
-    for cid in d.crossings:
-        corner_faces = [table[(cid, k)] for k in range(4)]
+    tags = []
+    for i in range(0, len(face), 4):
+        corner_faces = face[i:i + 4]
         ext_hits = [f for f in corner_faces if f in external]
         fig3 = len(set(ext_hits)) == 2 or len(ext_hits) >= 2
         internal_counts: Dict[int, int] = {}
@@ -129,11 +133,11 @@ def classify_crossings(d: AnnularDiagram) -> Dict[str, str]:
                 internal_counts[f] = internal_counts.get(f, 0) + 1
         fig2 = any(c >= 2 for c in internal_counts.values())
         if fig3:
-            tags[cid] = "fig3_type"
+            tags.append("fig3_type")
         elif fig2:
-            tags[cid] = "fig2_type"
+            tags.append("fig2_type")
         else:
-            tags[cid] = "regular"
+            tags.append("regular")
     return tags
 
 
@@ -224,7 +228,7 @@ def profile(d: AnnularDiagram) -> DiagramProfile:
     simple: Optional[bool] = None
     quasi: Optional[bool] = None
     if conn:
-        tags = list(classify_crossings(d).values())
+        tags = _crossing_tags(d)
         k3 = tags.count("fig3_type")
         k2 = tags.count("fig2_type") if tags else None
         simple = not k2 and k3 == 0

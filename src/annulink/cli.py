@@ -84,14 +84,15 @@ def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
     Every argument that gives no diagram raises DiagramFormatError: a
     path that cannot be read or is not UTF-8 text, and a recipe or file
     that a diagram builder rejects, as well as malformed text.  Unless
-    ``checked`` is false, so does a file whose edge or boundary marker
-    references are broken (`reference_violations`, O(n)); builders
+    ``checked`` is false, so does a file that fails `validate` (broken
+    edge or marker references, a non-planar gluing, or odd cut parities
+    around a face; O(n) from the diagram's half-edge table); builders
     never give one."""
     try:
         if os.path.exists(arg):
             d, _meta = load_diagram(arg)
             name = os.path.basename(arg)
-            bad = d.reference_violations() if checked else []
+            bad = d.validate() if checked else []
             if bad:
                 more = " (%d violations; validate lists them)" % len(bad) if len(bad) > 1 else ""
                 raise DiagramFormatError(0, "%s: %s%s" % (name, bad[0], more))
@@ -166,8 +167,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         rows.append(("bracket", str(poly)))
         rows.append(("breadth", str(poly.breadth())))
         if args.jones:
-            j = jones(d, orientation)
             w = writhe(d, orientation)
+            j = jones(d, orientation, w=w)
             if args.mirror:
                 j = j.mirror()
                 w = -w

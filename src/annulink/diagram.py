@@ -18,13 +18,26 @@ as a 4-valent combinatorial map plus homological bookkeeping:
   k+1 (mod 4), or the sentinel ``UNBOUNDED`` when the diagram has no
   crossings at all.
 
-Faces are traced with the turning rule "arrive at slot i, leave along
-the edge at slot i+1 (mod 4)"; the corner emitted at that turn is
-corner i.  A strand continues through a crossing from slot i to slot
-i+2.  For every crossing-bearing connected component the traced map
-must satisfy V - E + F = 2, i.e. each component is a map on the
-2-sphere; `validate` reports all violations as strings rather than
-raising.
+Faces, strand walks, crossing components, and the predicates and state
+sums built on them all read one int form of the map, built once per
+diagram by `AnnularDiagram.half_edges`.  Crossings are indexed in
+``crossings`` order, and the half-edge at slot s of crossing i is
+h = 4 * i + s; ``mate[h]`` is the other end of its edge and ``epar[h]``
+that edge's parity.  Corner h lies between slots h and h + 1 of its
+crossing.
+
+* A face is a cycle of h -> mate[(h & ~3) | ((h + 1) & 3)]: arrive at
+  slot s, leave along the edge at slot s + 1 (mod 4).  Corner h is
+  emitted on arrival at half-edge h.
+* A strand walk is a cycle of h -> mate[h ^ 2]: the strand enters at
+  slot s and leaves through slot s + 2.  A walk lists its arrival
+  half-edges; h ^ 2 belongs to the same passage and is not a start.
+* Faces and walks are numbered by their smallest half-edge, and each
+  starts there, so both come out in crossing order, slot by slot.
+
+For every crossing-bearing connected component the traced map must
+satisfy V - E + F = 2, i.e. each component is a map on the 2-sphere;
+`validate` reports all violations as strings rather than raising.
 
 Builders return fresh immutable-by-convention diagrams; move
 generators (`insert_r1`, `insert_r2`) never mutate their input.
@@ -32,7 +45,8 @@ generators (`insert_r1`, `insert_r2`) never mutate their input.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from collections import Counter
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 __all__ = [
     "UNBOUNDED",
@@ -52,6 +66,18 @@ UNBOUNDED = "unbounded"
 Corner = Tuple[str, int]
 Designator = Union[str, Corner]
 Dart = Tuple[str, int]
+
+
+class HalfEdges(NamedTuple):
+    """The int form of a diagram's map (numbering in the module docstring)."""
+
+    order: List[str]  # crossing ids by index
+    mate: List[int]  # h -> the other end of its edge
+    epar: List[int]  # h -> the cut parity of its edge
+    face: List[int]  # corner h -> the index of its face
+    faces: List[List[int]]  # each face as its corners, in trace order
+    walks: List[List[int]]  # each strand walk as its arrival half-edges
+    comp: List[int]  # crossing index -> union-find root of its component
 
 
 class AnnularDiagram:
@@ -78,6 +104,17 @@ class AnnularDiagram:
     def n(self) -> int:
         """Number of crossings."""
         return len(self.crossings)
+
+    def half_edges(self) -> HalfEdges:
+        """The map as int arrays, built on the first call and cached.
+
+        Raises ValueError when the edge references are broken (a crossing
+        without four slots, an edge not met exactly twice, an undeclared
+        edge); `reference_violations` names them."""
+        table = self._cache.get("half_edges")
+        if table is None:
+            table = self._cache["half_edges"] = _build_half_edges(self)
+        return table  # type: ignore[return-value]
 
     def edge_ends(self) -> Dict[str, List[Dart]]:
         """edge id -> its (crossing, slot) incidences, in scan order."""
@@ -108,11 +145,13 @@ class AnnularDiagram:
     # -- validation ------------------------------------------------------
 
     def reference_violations(self) -> List[str]:
-        """The violations found in O(n) without tracing a face: slot
-        counts, parity bits, edges that are undeclared or not met exactly
-        twice, and boundary markers that name no corner of the diagram.
-        A diagram with none of these can be traced; `validate` runs
-        these checks first."""
+        """The violations that leave no map to check: slot counts, parity
+        bits, edges that are undeclared or not met exactly twice, and
+        boundary markers that name no corner of the diagram.  A diagram
+        with none of these can be traced; `validate` runs these checks
+        first.  Building the half-edge table checks every edge reference
+        in one pass, so only a diagram that fails it is scanned again
+        for the messages."""
         crossings, parity = self.crossings, self.edge_parity
         bad = [
             "crossing %s has %d slots, expected 4" % (cid, len(slots))
@@ -129,8 +168,10 @@ class AnnularDiagram:
             for i, p in enumerate(self.free_loops)
             if p not in (0, 1)
         ]
-        ends = self.edge_ends()
-        if ends.keys() != parity.keys() or set(map(len, ends.values())) != {2}:
+        try:
+            self.half_edges()  # pairs every edge, or fails on a broken reference
+        except ValueError:
+            ends = self.edge_ends()
             bad += [
                 "crossing %s references undeclared edge %s" % (cid, eid)
                 for cid, slots in crossings.items()
@@ -167,27 +208,19 @@ class AnnularDiagram:
             return bad  # map-level checks need a structurally sound diagram
 
         # Each crossing-bearing connected component must be a sphere map.
-        comp = self._crossing_components()
-        if comp:
-            faces_by_comp: Dict[int, int] = {}
-            for face in self.trace_faces():
-                root = comp[face[0][0]]
-                faces_by_comp[root] = faces_by_comp.get(root, 0) + 1
-            vertices: Dict[int, int] = {}
-            for cid in self.crossings:
-                vertices[comp[cid]] = vertices.get(comp[cid], 0) + 1
-            edges: Dict[int, int] = {}
-            for eid, ends in self.edge_ends().items():
-                edges[comp[ends[0][0]]] = edges.get(comp[ends[0][0]], 0) + 1
-            for root, v in sorted(vertices.items()):
-                euler = v - edges.get(root, 0) + faces_by_comp.get(root, 0)
-                if euler != 2:
-                    bad.append(
-                        "component at crossing %s has V-E+F = %d, expected 2 (non-planar gluing)"
-                        % (root_name(comp, root), euler)
-                    )
-            if bad:
-                return bad
+        # Every edge joins two half-edges of one component, so E = 2V there.
+        t = self.half_edges()
+        vertices = Counter(t.comp)
+        faces_by_comp = Counter(t.comp[face[0] >> 2] for face in t.faces)
+        for root, v in sorted(vertices.items()):
+            euler = faces_by_comp[root] - v
+            if euler != 2:
+                bad.append(
+                    "component at crossing %s has V-E+F = %d, expected 2 (non-planar gluing)"
+                    % (t.order[t.comp.index(root)], euler)
+                )
+        if bad:
+            return bad
 
         # Cut consistency.  The parity bits must be realizable by a single
         # arc running between the two boundary circles: around any face the
@@ -196,14 +229,9 @@ class AnnularDiagram:
         # circles where the arc terminates.  Only checkable when the whole
         # crossing graph is one component (nesting of separate components
         # is not recorded by the map data).
-        if comp and len(set(comp.values())) == 1:
-            odd = []
-            for i, face in enumerate(self.trace_faces()):
-                total = 0
-                for c, s in face:
-                    total += self.edge_parity[self.crossings[c][(s + 1) % 4]]
-                if total % 2:
-                    odd.append(i)
+        if len(vertices) == 1:
+            leaving = _turned(t.epar, 1)  # corner h -> parity of the edge it leaves by
+            odd = [i for i, face in enumerate(t.faces) if sum(map(leaving.__getitem__, face)) % 2]
             ext = self.external_face_indices()
             expected = sorted(set(ext)) if ext is not None and ext[0] != ext[1] else []
             if odd != expected:
@@ -213,64 +241,33 @@ class AnnularDiagram:
                 )
         return bad
 
-    def _crossing_components(self) -> Dict[str, int]:
-        """Union-find roots (as ints) for the crossing graph."""
-        ids = list(self.crossings)
-        index = {cid: i for i, cid in enumerate(ids)}
-        parent = list(range(len(ids)))
+    # -- faces and strands ---------------------------------------------------
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for ends in self.edge_ends().values():
-            a, b = find(index[ends[0][0]]), find(index[ends[1][0]])
-            if a != b:
-                parent[a] = b
-        return {cid: find(index[cid]) for cid in ids}
-
-    # -- faces -------------------------------------------------------------
+    def _darts(self, cycles: List[List[int]]) -> Tuple[Tuple[Dart, ...], ...]:
+        order = self.half_edges().order
+        return tuple(tuple((order[h >> 2], h & 3) for h in cycle) for cycle in cycles)
 
     def trace_faces(self) -> Tuple[Tuple[Corner, ...], ...]:
         """All faces, each as its cyclic corner sequence."""
         if "faces" not in self._cache:
-            faces: List[Tuple[Corner, ...]] = []
-            visited = set()
-            for start_c in self.crossings:
-                for start_s in range(4):
-                    if (start_c, start_s) in visited:
-                        continue
-                    face: List[Corner] = []
-                    c, s = start_c, start_s
-                    while (c, s) not in visited:
-                        visited.add((c, s))
-                        face.append((c, s))
-                        out = (s + 1) % 4
-                        c, s = self.other_end(self.crossings[c][out], (c, out))
-                    faces.append(tuple(face))
-            self._cache["faces"] = tuple(faces)
+            self._cache["faces"] = self._darts(self.half_edges().faces)
         return self._cache["faces"]  # type: ignore[return-value]
 
     def corner_face(self) -> Dict[Corner, int]:
         """corner -> index into trace_faces()."""
         if "corner_face" not in self._cache:
-            table: Dict[Corner, int] = {}
-            for i, face in enumerate(self.trace_faces()):
-                for corner in face:
-                    table[corner] = i
-            self._cache["corner_face"] = table
+            self._cache["corner_face"] = {
+                corner: i for i, face in enumerate(self.trace_faces()) for corner in face
+            }
         return self._cache["corner_face"]  # type: ignore[return-value]
 
     def external_face_indices(self) -> Tuple[int, int] | None:
         """Face indices of the two external markers, or None if sentinel."""
         if self.external[0] == UNBOUNDED or self.external[1] == UNBOUNDED:
             return None
-        table = self.corner_face()
-        return (table[self.external[0]], table[self.external[1]])
-
-    # -- strands -------------------------------------------------------------
+        t = self.half_edges()
+        (c0, k0), (c1, k1) = self.external  # type: ignore[misc]
+        return (t.face[4 * t.order.index(c0) + k0], t.face[4 * t.order.index(c1) + k1])
 
     def strand_walks(self) -> Tuple[Tuple[Dart, ...], ...]:
         """Closed strand walks through crossings, one per link component
@@ -278,33 +275,87 @@ class AnnularDiagram:
         enters at slot s and leaves through slot s+2.  Free loops are not
         included (they carry no darts)."""
         if "walks" not in self._cache:
-            walks: List[Tuple[Dart, ...]] = []
-            visited = set()
-            for start_c in self.crossings:
-                for start_s in range(4):
-                    if (start_c, start_s) in visited:
-                        continue
-                    walk: List[Dart] = []
-                    c, s = start_c, start_s
-                    while (c, s) not in visited:
-                        visited.add((c, s))
-                        visited.add((c, (s + 2) % 4))  # reverse direction
-                        walk.append((c, s))
-                        out = (s + 2) % 4
-                        c, s = self.other_end(self.crossings[c][out], (c, out))
-                    walks.append(tuple(walk))
-            self._cache["walks"] = tuple(walks)
+            self._cache["walks"] = self._darts(self.half_edges().walks)
         return self._cache["walks"]  # type: ignore[return-value]
 
     def component_count(self) -> int:
-        return len(self.strand_walks()) + len(self.free_loops)
+        return len(self.half_edges().walks) + len(self.free_loops)
 
 
-def root_name(comp: Dict[str, int], root: int) -> str:
-    for cid, r in comp.items():
-        if r == root:
-            return cid
-    return "?"
+def _turned(values: List[int], k: int) -> List[int]:
+    """``values`` read k slots further counterclockwise at the same
+    crossing: out[h] = values[(h & ~3) | ((h + k) & 3)]."""
+    out = [0] * len(values)
+    for s in range(4):
+        out[s::4] = values[(s + k) % 4::4]
+    return out
+
+
+def _cycles(step: List[int], passages: bool = False) -> Tuple[List[int], List[List[int]]]:
+    """(label, cycles) of h -> step[h], each cycle listed from its smallest
+    member and labelled by its index.  With ``passages`` a visit to h also
+    claims h ^ 2, the other end of its passage, for the same cycle."""
+    label = [-1] * len(step)
+    cycles: List[List[int]] = []
+    for h0 in range(len(step)):
+        if label[h0] < 0:
+            k = len(cycles)
+            cycle = []
+            h = h0
+            while label[h] < 0:
+                label[h] = k
+                if passages:
+                    label[h ^ 2] = k
+                cycle.append(h)
+                h = step[h]
+            cycles.append(cycle)
+    return label, cycles
+
+
+def _crossing_components(mate: List[int]) -> List[int]:
+    """Union-find root of every crossing index, joining the two crossings
+    of each edge in the order of the edge's first half-edge."""
+    parent = list(range(len(mate) >> 2))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g, h in enumerate(mate):
+        if h > g:
+            a, b = find(g >> 2), find(h >> 2)
+            if a != b:
+                parent[a] = b
+    return [find(i) for i in range(len(parent))]
+
+
+def _build_half_edges(d: AnnularDiagram) -> HalfEdges:
+    """One pass over the slots pairs the two ends of every edge; faces,
+    walks and components then follow from ``mate`` alone."""
+    crossings, parity = d.crossings, d.edge_parity
+    eids = [eid for slots in crossings.values() for eid in slots]
+    mate = [-1] * len(eids)
+    first: Dict[str, int] = {}
+    for h, eid in enumerate(eids):
+        g = first.setdefault(eid, h)
+        if g != h:
+            mate[g], mate[h] = h, g
+    # An edge met once leaves a -1; one met three times or more leaves
+    # fewer distinct edges than half the slots.
+    if (
+        any(len(slots) != 4 for slots in crossings.values())
+        or -1 in mate
+        or 2 * len(first) != len(eids)
+        or first.keys() != parity.keys()
+    ):
+        raise ValueError("broken edge references; validate() lists them")
+    face, faces = _cycles(_turned(mate, 1))
+    walks = _cycles(_turned(mate, 2), passages=True)[1]
+    return HalfEdges(
+        list(crossings), mate, [parity[eid] for eid in eids], face, faces, walks, _crossing_components(mate)
+    )
 
 
 def components(d: AnnularDiagram) -> List[list]:

@@ -20,6 +20,9 @@ walks) and exists so the closed form can be cross-checked.
 Normalization: the empty diagram evaluates to 1, a nullhomotopic
 unknot to delta, a single essential circle to 0.
 
+Every routine here walks the diagram's cached `half_edges` table; the
+half-edge numbering and its step rules are stated once, in `diagram`.
+
 `bracket_gray` visits the 2^n smoothings in one Gray-code walk from
 the all-plus state and is the route used in production.  At each step
 it flips one crossing and relabels, in place, only the path whose
@@ -104,23 +107,7 @@ def alpha_walk_oracle(p: int) -> int:
     return heights.get(0, 0)
 
 
-# -- compiled half-edge tables ------------------------------------------------
-
-
-def _tables(d: AnnularDiagram) -> Tuple[List[str], List[int], List[int]]:
-    """(crossing order, mate, edge parity) with half-edge h = 4*crossing + slot."""
-    if "skein_tables" not in d._cache:
-        order = list(d.crossings)
-        index = {cid: i for i, cid in enumerate(order)}
-        mate = [0] * (4 * len(order))
-        epar = [0] * (4 * len(order))
-        for eid, ends in d.edge_ends().items():
-            (c1, s1), (c2, s2) = ends
-            h1, h2 = 4 * index[c1] + s1, 4 * index[c2] + s2
-            mate[h1], mate[h2] = h2, h1
-            epar[h1] = epar[h2] = d.edge_parity[eid]
-        d._cache["skein_tables"] = (order, mate, epar)
-    return d._cache["skein_tables"]  # type: ignore[return-value]
+# -- circles of one smoothing -------------------------------------------------
 
 
 def _label_circles(
@@ -134,8 +121,9 @@ def _label_circles(
     before reaching it.  Circles are numbered, and traced, from their
     smallest half-edge; the trace leaves an even position along an edge
     and an odd position along an arc of the smoothing."""
-    order, mate, epar = _tables(d)
-    ident = [-1] * (4 * len(order))
+    t = d.half_edges()
+    mate, epar = t.mate, t.epar
+    ident = [-1] * len(mate)
     pos = [0] * len(ident)
     prefix = [0] * len(ident)
     parity: List[int] = []
@@ -256,7 +244,7 @@ def state_circles(
     order, then free loops in diagram order.
     """
     ident, parity = _label_circles(d, _state_signs(d, state))[:2]
-    order = _tables(d)[0]
+    order = d.half_edges().order
     corners: List[List[Tuple[str, int]]] = [[] for _ in parity]
     for h, k in enumerate(ident):
         corners[k].append((order[h >> 2], h & 3))
@@ -306,8 +294,9 @@ def bracket(d: AnnularDiagram) -> LaurentPoly:
 def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     """Histogram of smoothing invariants over all 2^n states, each traced
     from scratch."""
-    order, mate, epar = _tables(d)
-    n = len(order)
+    t = d.half_edges()
+    mate, epar = t.mate, t.epar
+    n = d.n
     total = 4 * n
     free_triv = sum(1 for p in d.free_loops if p == 0)
     free_ess = len(d.free_loops) - free_triv
@@ -352,8 +341,9 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     itself, and the old id is freed).  Dead ids are reused, so at most
     2n + 1 slots are ever live.  The counts sit in one packed key,
     unpacked once at the end."""
-    order, mate, epar = _tables(d)
-    n = len(order)
+    t = d.half_edges()
+    mate, epar = t.mate, t.epar
+    n = d.n
     ident, seed = _label_circles(d, [1] * n)[:2]
     parity = seed + [0] * (2 * n + 1 - len(seed))
     free = list(range(len(parity) - 1, len(seed) - 1, -1))
@@ -474,11 +464,16 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
 
 
 def jones(
-    d: AnnularDiagram, orientation: Union[Sequence[int], None] = None
+    d: AnnularDiagram,
+    orientation: Union[Sequence[int], None] = None,
+    *,
+    w: Union[int, None] = None,
 ) -> LaurentPoly:
     """Bracket rescaled by (-A^3)^(-writhe), which is unchanged by
-    kink insertion and the other moves that preserve the link."""
-    w = writhe(d, orientation)
+    kink insertion and the other moves that preserve the link.  A caller
+    that already holds ``writhe(d, orientation)`` passes it as ``w``."""
+    if w is None:
+        w = writhe(d, orientation)
     poly = bracket_gray(d)
     scaled = poly.shift(-3 * w)
     return scaled if w % 2 == 0 else -scaled

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from annulink import cli
+from annulink import cli, skein
 from annulink.cli import EXIT_CAP, EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from annulink.diagfile import load_diagram, save_diagram
 from annulink.diagram import from_braid_closure
@@ -105,6 +105,37 @@ class TestBrokenReferences:
         assert message in out.splitlines()[0]
 
 
+MAP_VIOLATIONS = {
+    # opposite slots joined: V - E + F = 1 - 2 + 1 on the one component
+    "non_planar": ("x1 e0 e1 e1 e0", "x1 e0 e1 e0 e1", "non-planar gluing"),
+    # one wrap edge no longer crosses the cut arc: the arc cannot end in
+    # the two boundary faces
+    "odd_cut_parity": ("e0 1", "e0 0", "cut parities are odd around faces"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MAP_VIOLATIONS))
+class TestMapViolations:
+    """A file whose references are sound but whose map fails `validate`
+    (a gluing that is not planar, or cut parities that no arc between the
+    boundary circles gives) exits 2 with one line on stderr; `validate`
+    still lists the violation and exits 1."""
+
+    @pytest.mark.parametrize("sub", ["bracket", "props", "verify"])
+    def test_rejected(self, capsys, tmp_path, row, sub):
+        old, new, message = MAP_VIOLATIONS[row]
+        rc, out, err = run(capsys, sub, one_crossing_file(tmp_path, old, new))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1, err
+        assert message in err
+
+    def test_validate_lists_the_violation(self, capsys, tmp_path, row):
+        old, new, message = MAP_VIOLATIONS[row]
+        rc, out, err = run(capsys, "validate", one_crossing_file(tmp_path, old, new))
+        assert (rc, err) == (EXIT_CHECK, "")
+        assert [line for line in out.splitlines() if message in line] == out.splitlines()
+
+
 class TestParserBuiltOnce:
     ARGV = [
         ["bracket", "braid 2: s1 s1 s1", "--jones"],
@@ -166,6 +197,21 @@ class TestBracket:
         assert rc == EXIT_OK
         assert "writhe = 1" in out
         assert "jones = A^-6" in out
+
+    def test_jones_row_computes_the_writhe_once(self, capsys, monkeypatch):
+        calls = []
+        counted_writhe = skein.writhe
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return counted_writhe(*args, **kwargs)
+
+        monkeypatch.setattr(skein, "writhe", counted)
+        monkeypatch.setattr(cli, "writhe", counted)
+        rc, out, _ = run(capsys, "bracket", "--jones", "--orientation", "1,-1", "braid 2: s1 s1 s1 s1")
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+        assert out.splitlines()[2:] == ["writhe = -4", "jones = 1"]
 
     def test_moves_leave_jones_alone(self, capsys):
         # rmove_a is disk_trefoil after random kink and finger moves, so
