@@ -8,11 +8,15 @@ external regions, and the circle counts of the two constant smoothings.
 and memoised on it; the breadth checks and the CLI read their
 hypotheses from that record.
 
-Crossing classification follows the corner-incidence reading of the
-removable configurations: a crossing is tagged fig3_type when its
-corners meet two distinct external faces or meet one external face
-twice, fig2_type when an internal face shows up at two of its corners
-(the nugatory shape).  A crossing satisfying both is tagged fig3_type;
+Both map predicates are read off the half-edge table.  A strand leaves
+a crossing on the slot parity it arrived on, so a diagram alternates
+exactly when every edge joins an under slot (even half-edge) to an
+over slot (odd half-edge).  Crossing classification follows the
+corner-incidence reading of the removable configurations: a crossing
+is tagged fig3_type when at least two of its four corners lie in an
+external face (two distinct ones, or one of them twice), otherwise
+fig2_type when an internal face shows up at two of its corners (the
+nugatory shape).  A crossing satisfying both is tagged fig3_type;
 the count k of fig3_type crossings is what the breadth formula consumes,
 while the equality hypotheses only need fig2_type to be absent.  The
 classification only makes sense for connected diagrams: with a separate
@@ -93,22 +97,19 @@ def is_in_disk(d: AnnularDiagram) -> bool:
 def is_alternating(d: AnnularDiagram) -> bool:
     """True iff every strand walk meets over- and under-passages
     alternately around its full circuit.  Slots 0 and 2 are under,
-    1 and 3 over, so the kind of an arrival half-edge h is h & 1.  Free
-    loops are vacuously alternating."""
-    for walk in d.half_edges().walks:
-        kinds = [h & 1 for h in walk]
-        m = len(kinds)
-        if any(kinds[i] == kinds[(i + 1) % m] for i in range(m)):
-            return False
-    return True
+    1 and 3 over, so the kind of half-edge h is h & 1, and a strand
+    leaves a crossing on the kind it arrived on (slot s + 2); it
+    alternates exactly when every edge joins an under slot to an over
+    slot.  Free loops are vacuously alternating."""
+    return all((h ^ m) & 1 for h, m in enumerate(d.half_edges().mate))
 
 
 def classify_crossings(d: AnnularDiagram) -> Dict[str, str]:
     """Tag each crossing regular / fig2_type / fig3_type.
 
-    fig3_type: the four corners meet two distinct external faces, or
-    meet one external face at least twice.  fig2_type: an internal face
-    appears at two or more of the corners.  fig3_type wins ties.
+    fig3_type: at least two of the four corners lie in an external face
+    (two distinct ones, or one of them twice).  fig2_type: an internal
+    face appears at two or more of the corners.  fig3_type wins ties.
     Requires a connected diagram.
     """
     if not is_connected(d):
@@ -120,21 +121,13 @@ def _crossing_tags(d: AnnularDiagram) -> List[str]:
     """`classify_crossings` tags in crossing order, read off the face of
     each corner (connected diagrams only)."""
     face = d.half_edges().face
-    ext = d.external_face_indices()
-    external = set(ext) if ext is not None else set()
+    external = set(d.external_face_indices() or ())
     tags = []
     for i in range(0, len(face), 4):
-        corner_faces = face[i:i + 4]
-        ext_hits = [f for f in corner_faces if f in external]
-        fig3 = len(set(ext_hits)) == 2 or len(ext_hits) >= 2
-        internal_counts: Dict[int, int] = {}
-        for f in corner_faces:
-            if f not in external:
-                internal_counts[f] = internal_counts.get(f, 0) + 1
-        fig2 = any(c >= 2 for c in internal_counts.values())
-        if fig3:
+        corners = face[i:i + 4]
+        if sum(f in external for f in corners) >= 2:
             tags.append("fig3_type")
-        elif fig2:
+        elif len(set(corners)) < 4:  # at most one external corner: an internal face repeats
             tags.append("fig2_type")
         else:
             tags.append("regular")
@@ -219,8 +212,10 @@ def profile(d: AnnularDiagram) -> DiagramProfile:
     ``k_fig2`` counts the fig2_type crossings; it is None when the
     diagram is disconnected or has no crossings.
     """
-    if "profile" in d._cache:
-        return d._cache["profile"]  # type: ignore[return-value]
+    return d._cached("profile", lambda: _profile(d))
+
+
+def _profile(d: AnnularDiagram) -> DiagramProfile:
     conn = is_connected(d)
     (sp, pp, pa), (sm, pm, ma) = _constant_states(d)
     k3: Optional[int] = None
@@ -233,7 +228,7 @@ def profile(d: AnnularDiagram) -> DiagramProfile:
         k2 = tags.count("fig2_type") if tags else None
         simple = not k2 and k3 == 0
         quasi = not k2 and k3 <= 1
-    p = DiagramProfile(
+    return DiagramProfile(
         n=d.n,
         connected=conn,
         alternating=is_alternating(d),
@@ -250,5 +245,3 @@ def profile(d: AnnularDiagram) -> DiagramProfile:
         minus_adequate=ma,
         k_fig2=k2,
     )
-    d._cache["profile"] = p
-    return p

@@ -84,23 +84,24 @@ def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
     Every argument that gives no diagram raises DiagramFormatError: a
     path that cannot be read or is not UTF-8 text, and a recipe or file
     that a diagram builder rejects, as well as malformed text.  Unless
-    ``checked`` is false, so does a file that fails `validate` (broken
-    edge or marker references, a non-planar gluing, or odd cut parities
-    around a face; O(n) from the diagram's half-edge table); builders
-    never give one."""
+    ``checked`` is false, so does a diagram from any source that fails
+    `validate` (broken edge or marker references, a non-planar gluing,
+    or odd cut parities around a face; O(n) from the diagram's
+    half-edge table): a pd recipe can name any gluing."""
     try:
         if os.path.exists(arg):
             d, _meta = load_diagram(arg)
             name = os.path.basename(arg)
-            bad = d.validate() if checked else []
-            if bad:
-                more = " (%d violations; validate lists them)" % len(bad) if len(bad) > 1 else ""
-                raise DiagramFormatError(0, "%s: %s%s" % (name, bad[0], more))
-            return name, d
-        if arg in corpus_mod.ENTRIES:
-            return arg, corpus_mod.get(arg).build()
-        if is_recipe(arg):
-            return "recipe", parse_recipe(arg)
+        elif arg in corpus_mod.ENTRIES:
+            name, d = arg, corpus_mod.get(arg).build()
+        elif is_recipe(arg):
+            name, d = "recipe", parse_recipe(arg)
+        else:
+            raise DiagramFormatError(
+                0,
+                "%r is not a file, corpus entry or recipe (corpus entries: %s)"
+                % (arg, ", ".join(corpus_mod.names())),
+            )
     except DiagramFormatError:
         raise
     except OSError as exc:
@@ -111,11 +112,11 @@ def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
         raise DiagramFormatError(0, message) from exc
     except ValueError as exc:  # a builder rejected the diagram
         raise DiagramFormatError(0, str(exc)) from exc
-    raise DiagramFormatError(
-        0,
-        "%r is not a file, corpus entry or recipe (corpus entries: %s)"
-        % (arg, ", ".join(corpus_mod.names())),
-    )
+    bad = d.validate() if checked else []
+    if bad:
+        more = " (%d violations; validate lists them)" % len(bad) if len(bad) > 1 else ""
+        raise DiagramFormatError(0, "%s: %s%s" % (name, bad[0], more))
+    return name, d
 
 
 def _parse_orientation(text: Optional[str]) -> Optional[List[int]]:
@@ -265,7 +266,7 @@ def _verify_target(
     if target in corpus_mod.ENTRIES:
         entry = corpus_mod.get(target)
         d = entry.build()
-        return corpus_mod.verify_entry(entry, d), d
+        return corpus_mod.verify_entry(entry, d, flags), d
     name, d = _load_target(target)
     return verify_all(d, flags, name=name), d
 

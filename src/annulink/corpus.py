@@ -33,8 +33,8 @@ from .diagfile import parse_recipe
 from .diagram import AnnularDiagram
 from .generate import generate_family
 from .laurent import LaurentPoly
-from .skein import bracket
-from .theorems import FAIL, PASS, CheckRecord, VerificationReport, verify_all
+from .skein import bracket_gray
+from .theorems import FAIL, PASS, CheckRecord, LinkAssertions, VerificationReport, verify_all
 
 __all__ = [
     "CorpusEntry",
@@ -330,7 +330,7 @@ def _expected_checks(entry: CorpusEntry, d: AnnularDiagram) -> List[CheckRecord]
     out: List[CheckRecord] = []
     if entry.expected_bracket is not None:
         want = LaurentPoly.parse(entry.expected_bracket)
-        got = bracket(d)
+        got = bracket_gray(d)
         out.append(
             CheckRecord(
                 "expected_bracket",
@@ -341,7 +341,7 @@ def _expected_checks(entry: CorpusEntry, d: AnnularDiagram) -> List[CheckRecord]
             )
         )
     if entry.expected_breadth is not None:
-        got_b = bracket(d).breadth()
+        got_b = bracket_gray(d).breadth()
         out.append(
             CheckRecord(
                 "expected_breadth",
@@ -369,14 +369,17 @@ def _expected_checks(entry: CorpusEntry, d: AnnularDiagram) -> List[CheckRecord]
 
 
 def verify_entry(
-    entry: CorpusEntry, d: Optional[AnnularDiagram] = None
+    entry: CorpusEntry,
+    d: Optional[AnnularDiagram] = None,
+    flags: Optional[LinkAssertions] = None,
 ) -> VerificationReport:
     """Recheck one entry: recorded values first, then the general checks.
 
-    ``d`` is the entry's diagram, when the caller has built it already.
+    ``d`` is the entry's diagram, when the caller has built it already;
+    ``flags`` are the asserted link facts the report carries.
     """
     d = entry.build() if d is None else d
-    base = verify_all(d, name=entry.name)
+    base = verify_all(d, flags, name=entry.name)
     records = tuple(_expected_checks(entry, d)) + base.records
     return VerificationReport(entry.name, base.assumptions, records)
 
@@ -388,10 +391,10 @@ def verify_pairs() -> List[CheckRecord]:
         da, db = get(a).build(), get(b).build()
         hyp = (("pair", "%s/%s" % (a, b)),)
         if kind == "equal_breadth":
-            la, rb = bracket(da).breadth(), bracket(db).breadth()
+            la, rb = bracket_gray(da).breadth(), bracket_gray(db).breadth()
             verdict = PASS if la == rb else FAIL
         elif kind == "equal_bracket":
-            la, rb = str(bracket(da)), str(bracket(db))
+            la, rb = str(bracket_gray(da)), str(bracket_gray(db))
             verdict = PASS if la == rb else FAIL
         elif kind == "crossing_counts_differ":
             la, rb = da.n, db.n

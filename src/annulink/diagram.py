@@ -111,20 +111,26 @@ class AnnularDiagram:
         Raises ValueError when the edge references are broken (a crossing
         without four slots, an edge not met exactly twice, an undeclared
         edge); `reference_violations` names them."""
-        table = self._cache.get("half_edges")
-        if table is None:
-            table = self._cache["half_edges"] = _build_half_edges(self)
-        return table  # type: ignore[return-value]
+        return self._cached("half_edges", lambda: _build_half_edges(self))
+
+    def _cached(self, key: str, make):
+        """The value memoised under ``key``, made by ``make()`` on the first
+        call; each derived table and bracket route has its own key."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
 
     def edge_ends(self) -> Dict[str, List[Dart]]:
         """edge id -> its (crossing, slot) incidences, in scan order."""
-        if "ends" not in self._cache:
-            ends: Dict[str, List[Dart]] = {}
-            for cid, slots in self.crossings.items():
-                for s, eid in enumerate(slots):
-                    ends.setdefault(eid, []).append((cid, s))
-            self._cache["ends"] = ends
-        return self._cache["ends"]  # type: ignore[return-value]
+        return self._cached("ends", self._scan_ends)
+
+    def _scan_ends(self) -> Dict[str, List[Dart]]:
+        ends: Dict[str, List[Dart]] = {}
+        for cid, slots in self.crossings.items():
+            for s, eid in enumerate(slots):
+                ends.setdefault(eid, []).append((cid, s))
+        return ends
 
     def other_end(self, edge: str, end: Dart) -> Dart:
         a, b = self.edge_ends()[edge]
@@ -249,17 +255,14 @@ class AnnularDiagram:
 
     def trace_faces(self) -> Tuple[Tuple[Corner, ...], ...]:
         """All faces, each as its cyclic corner sequence."""
-        if "faces" not in self._cache:
-            self._cache["faces"] = self._darts(self.half_edges().faces)
-        return self._cache["faces"]  # type: ignore[return-value]
+        return self._cached("faces", lambda: self._darts(self.half_edges().faces))
 
     def corner_face(self) -> Dict[Corner, int]:
         """corner -> index into trace_faces()."""
-        if "corner_face" not in self._cache:
-            self._cache["corner_face"] = {
-                corner: i for i, face in enumerate(self.trace_faces()) for corner in face
-            }
-        return self._cache["corner_face"]  # type: ignore[return-value]
+        return self._cached(
+            "corner_face",
+            lambda: {corner: i for i, face in enumerate(self.trace_faces()) for corner in face},
+        )
 
     def external_face_indices(self) -> Tuple[int, int] | None:
         """Face indices of the two external markers, or None if sentinel."""
@@ -274,9 +277,7 @@ class AnnularDiagram:
         that meets a crossing.  Each walk lists arrival darts; the strand
         enters at slot s and leaves through slot s+2.  Free loops are not
         included (they carry no darts)."""
-        if "walks" not in self._cache:
-            self._cache["walks"] = self._darts(self.half_edges().walks)
-        return self._cache["walks"]  # type: ignore[return-value]
+        return self._cached("walks", lambda: self._darts(self.half_edges().walks))
 
     def component_count(self) -> int:
         return len(self.half_edges().walks) + len(self.free_loops)
@@ -410,36 +411,27 @@ def from_braid_closure(word: Sequence[int], strands: int, *, disk: bool = False)
         if g == 0 or abs(g) >= strands:
             raise ValueError("generator %r out of range for %d strands" % (g, strands))
 
-    crossings: Dict[str, Tuple[str, str, str, str]] = {}
+    slots = [["", "", "", ""] for _ in word]  # per row, filled as edges are wired
     parity: Dict[str, int] = {}
-    edge_count = 0
-    open_end: List[Dart | None] = [None] * (strands + 1)
-    first_end: List[Dart | None] = [None] * (strands + 1)
+    open_end: List[Tuple[int, int] | None] = [None] * (strands + 1)  # (row, slot)
+    first_end: List[Tuple[int, int] | None] = [None] * (strands + 1)
 
-    def new_edge(a: Dart, b: Dart, par: int) -> None:
-        nonlocal edge_count
-        eid = "e%d" % edge_count
-        edge_count += 1
+    def new_edge(a: Tuple[int, int], b: Tuple[int, int], par: int) -> None:
+        eid = "e%d" % len(parity)
         parity[eid] = par
-        slot_to_edge.setdefault(a[0], {})[a[1]] = eid
-        slot_to_edge.setdefault(b[0], {})[b[1]] = eid
+        slots[a[0]][a[1]] = slots[b[0]][b[1]] = eid
 
-    slot_to_edge: Dict[str, Dict[int, str]] = {}
-
-    for row, g in enumerate(word, start=1):
-        i, sign = abs(g), (1 if g > 0 else -1)
-        cid = "x%d" % row
-        ports = _braid_slot_maps(sign)
-        slot_to_edge[cid] = {}
+    for row, g in enumerate(word):
+        i = abs(g)
+        ports = _braid_slot_maps(1 if g > 0 else -1)
         for pos, port in ((i, "NW"), (i + 1, "NE")):
-            here = (cid, ports[port])
+            here = (row, ports[port])
             if open_end[pos] is None:
                 first_end[pos] = here
             else:
                 new_edge(open_end[pos], here, 0)
-        open_end[i] = (cid, ports["SW"])
-        open_end[i + 1] = (cid, ports["SE"])
-        crossings[cid] = ("", "", "", "")  # placeholder, filled after wiring
+        open_end[i] = (row, ports["SW"])
+        open_end[i + 1] = (row, ports["SE"])
 
     loops: List[int] = []
     for pos in range(1, strands + 1):
@@ -450,10 +442,7 @@ def from_braid_closure(word: Sequence[int], strands: int, *, disk: bool = False)
             assert top is not None and bottom is not None
             new_edge(bottom, top, 0 if disk else 1)
 
-    for cid in crossings:
-        slots = slot_to_edge[cid]
-        crossings[cid] = (slots[0], slots[1], slots[2], slots[3])
-
+    crossings = {"x%d" % row: tuple(quad) for row, quad in enumerate(slots, start=1)}
     if not crossings:
         external: Tuple[Designator, Designator] = (UNBOUNDED, UNBOUNDED)
     else:
@@ -513,6 +502,14 @@ def _fresh_ids(d: AnnularDiagram, want_crossings: int, want_edges: int):
     )
 
 
+def _rewire(crossings: Dict[str, Tuple[str, ...]], end: Dart, eid: str) -> None:
+    """Point one slot at edge ``eid``, replacing that crossing's tuple."""
+    c, s = end
+    slots = list(crossings[c])
+    slots[s] = eid
+    crossings[c] = tuple(slots)
+
+
 def insert_r1(d: AnnularDiagram, edge: Union[str, int], sign: int = 1) -> AnnularDiagram:
     """Insert a kink on an edge (or, with an int index, on a free loop).
 
@@ -563,14 +560,8 @@ def insert_r1(d: AnnularDiagram, edge: Union[str, int], sign: int = 1) -> Annula
     slots[slot_in] = e_a
     slots[slot_out] = e_b
 
-    def rewire(end: Dart, new_eid: str) -> None:
-        c, s = end
-        tup = list(crossings[c])
-        tup[s] = new_eid
-        crossings[c] = tuple(tup)  # type: ignore[assignment]
-
-    rewire(end_p, e_a)
-    rewire(end_q, e_b)
+    _rewire(crossings, end_p, e_a)
+    _rewire(crossings, end_q, e_b)
     crossings[cid] = (slots[0], slots[1], slots[2], slots[3])
     return AnnularDiagram(crossings, parity, loops, external)
 
@@ -637,12 +628,6 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     crossings = dict(d.crossings)
     parity = dict(d.edge_parity)
 
-    def rewire(end: Dart, new_eid: str) -> None:
-        c, s = end
-        tup = list(crossings[c])
-        tup[s] = new_eid
-        crossings[c] = tuple(tup)  # type: ignore[assignment]
-
     # Left crossing: slots (0,1,2,3) = (B toward right, T outer-west,
     # B outer-west, T toward right).  Right crossing: slots = (B outer-
     # east, T outer-east, B toward left, T toward left).  edge1 = T is
@@ -656,10 +641,10 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     parity[b_m] = 0
     parity[b_e] = swept
 
-    rewire(u_a, t_w)
-    rewire(u_b, t_e)
-    rewire(v_b, b_w)
-    rewire(v_a, b_e)
+    _rewire(crossings, u_a, t_w)
+    _rewire(crossings, u_b, t_e)
+    _rewire(crossings, v_b, b_w)
+    _rewire(crossings, v_a, b_e)
     crossings[c_l] = (b_m, t_w, b_w, t_m)
     crossings[c_r] = (b_e, t_e, b_m, t_m)
 

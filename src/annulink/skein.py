@@ -286,9 +286,7 @@ def bracket(d: AnnularDiagram) -> LaurentPoly:
     memoised on the diagram under this route's own key.
     """
     _check_size(d)
-    if "bracket:plain" not in d._cache:
-        d._cache["bracket:plain"] = _assemble(_plain_states(d))
-    return d._cache["bracket:plain"]  # type: ignore[return-value]
+    return d._cached("bracket:plain", lambda: _assemble(_plain_states(d)))
 
 
 def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
@@ -419,9 +417,7 @@ def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     value is memoised on the diagram under this route's own key.
     """
     _check_size(d)
-    if "bracket:gray" not in d._cache:
-        d._cache["bracket:gray"] = _assemble(_gray_states(d))
-    return d._cache["bracket:gray"]  # type: ignore[return-value]
+    return d._cached("bracket:gray", lambda: _assemble(_gray_states(d)))
 
 
 # -- orientation-dependent quantities ----------------------------------------

@@ -136,6 +136,35 @@ class TestMapViolations:
         assert [line for line in out.splitlines() if message in line] == out.splitlines()
 
 
+INVALID_RECIPES = {
+    # each label names one end of an edge only
+    "pd_unpaired_edges": ("pd: 1 2 3 4", "edge e1 has 1 incidences, expected 2"),
+    # opposite slots joined, as in the non-planar file row
+    "pd_non_planar": ("pd: 1 2 1 2", "non-planar gluing"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(INVALID_RECIPES))
+class TestInvalidRecipes:
+    """A recipe the builder accepts but `validate` rejects (a pd code can
+    name any gluing) exits 2 with one line on stderr, as a file does;
+    `validate` lists the violations and exits 1."""
+
+    @pytest.mark.parametrize("sub", ["bracket", "props", "verify"])
+    def test_rejected(self, capsys, row, sub):
+        recipe, message = INVALID_RECIPES[row]
+        rc, out, err = run(capsys, sub, recipe)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1, err
+        assert message in err
+
+    def test_validate_lists_the_violations(self, capsys, row):
+        recipe, message = INVALID_RECIPES[row]
+        rc, out, err = run(capsys, "validate", recipe)
+        assert (rc, err) == (EXIT_CHECK, "")
+        assert message in out.splitlines()[0]
+
+
 class TestParserBuiltOnce:
     ARGV = [
         ["bracket", "braid 2: s1 s1 s1", "--jones"],
@@ -352,6 +381,13 @@ class TestVerify:
         )
         assert rc == EXIT_OK
         assert "non_h_split=True" in out
+
+    def test_corpus_entry_with_assumptions(self, capsys):
+        rc, out, _ = run(capsys, "verify", "one_crossing", "--assume", "non_h_split")
+        assert rc == EXIT_OK
+        assert out.splitlines()[1] == (
+            "  assume non_h_split=True not_in_3ball=False no_double_sphere_intersection=False"
+        )
 
     def test_unknown_assumption(self, capsys):
         rc, _, err = run(capsys, "verify", "unknot", "--assume", "flat")

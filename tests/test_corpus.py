@@ -3,10 +3,12 @@ flags exactly the one entry whose recorded values are inconsistent."""
 
 import pytest
 
+from annulink import skein
 from annulink.corpus import (
     ENTRIES,
     PAIR_CHECKS,
     CorpusEntry,
+    _expected_checks,
     build,
     verify_entry,
     verify_pairs,
@@ -66,6 +68,16 @@ class TestVerification:
         assert all(r.verdict != FAIL for r in records), [
             r.line() for r in records
         ]
+
+    def test_recorded_values_read_the_production_route(self, monkeypatch):
+        # the plain enumeration is the Gray route's oracle; outside the
+        # dual-route check the corpus reads the production bracket
+        plain = []
+        traced = skein._plain_states
+        monkeypatch.setattr(skein, "_plain_states", lambda d: plain.append(d) or traced(d))
+        verify_pairs()
+        _expected_checks(entry("sigma1_fourth"), entry("sigma1_fourth").build())
+        assert plain == []
 
     def test_corrupted_expectation_is_caught(self):
         # self-test of the harness: plant wrong values and watch each of
