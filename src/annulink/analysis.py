@@ -100,8 +100,9 @@ def is_alternating(d: AnnularDiagram) -> bool:
     1 and 3 over, so the kind of half-edge h is h & 1, and a strand
     leaves a crossing on the kind it arrived on (slot s + 2); it
     alternates exactly when every edge joins an under slot to an over
-    slot.  Free loops are vacuously alternating."""
-    return all((h ^ m) & 1 for h, m in enumerate(d.half_edges().mate))
+    slot, that is, when the mate of every even half-edge is odd.  Free
+    loops are vacuously alternating."""
+    return all(m & 1 for m in d.half_edges().mate[0::2])
 
 
 def classify_crossings(d: AnnularDiagram) -> Dict[str, str]:
@@ -123,12 +124,11 @@ def _crossing_tags(d: AnnularDiagram) -> List[str]:
     face = d.half_edges().face
     external = set(d.external_face_indices() or ())
     tags = []
-    for i in range(0, len(face), 4):
-        corners = face[i:i + 4]
-        if sum(f in external for f in corners) >= 2:
+    for a, b, c, e in zip(face[0::4], face[1::4], face[2::4], face[3::4]):
+        if (a in external) + (b in external) + (c in external) + (e in external) >= 2:
             tags.append("fig3_type")
-        elif len(set(corners)) < 4:  # at most one external corner: an internal face repeats
-            tags.append("fig2_type")
+        elif a == b or a == c or a == e or b == c or b == e or c == e:
+            tags.append("fig2_type")  # at most one external corner: an internal face repeats
         else:
             tags.append("regular")
     return tags
@@ -153,7 +153,7 @@ def _constant_states(d: AnnularDiagram) -> Tuple[Tuple[int, int, bool], ...]:
     out = []
     for sign in (1, -1):
         trivial, essential, flipped = flip_counts(d, sign)
-        out.append((trivial, essential, all(t < trivial for t in flipped)))
+        out.append((trivial, essential, max(flipped, default=-1) < trivial))
     return tuple(out)
 
 

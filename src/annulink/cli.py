@@ -10,7 +10,7 @@ Exit codes are frozen for scripting:
     0  success, all checks passed
     1  a check with met hypotheses failed
     2  unreadable or unparsable input
-    3  resource cap exceeded (crossing limit)
+    3  resource cap exceeded (crossing limit, or a coefficient too long to print)
 
 Output is deterministic: identical inputs, seeds and flags produce
 byte-identical reports.
@@ -36,6 +36,7 @@ from .diagfile import (
 )
 from .diagram import AnnularDiagram
 from .generate import FAMILIES, generate_family
+from .laurent import CoefficientSizeError
 from .skein import (
     MAX_CROSSINGS,
     BracketSizeError,
@@ -57,6 +58,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+CAP_ERRORS = (BracketSizeError, CoefficientSizeError)
 
 ASSUMPTION_NAMES = (
     "non_h_split",
@@ -175,7 +177,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
                 w = -w
             rows.append(("writhe", str(w)))
             rows.append(("jones", str(j)))
-    except BracketSizeError as exc:
+    except CAP_ERRORS as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_CAP
     except ValueError as exc:
@@ -281,6 +283,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
     except DiagramFormatError as exc:
         return _fail_input(_format_error(exc))
+    except CAP_ERRORS as exc:
+        sys.stderr.write(str(exc) + "\n")
+        return EXIT_CAP
     pair_records = corpus_mod.verify_pairs() if whole_corpus else []
 
     for report, _ in checked:

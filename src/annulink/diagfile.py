@@ -16,9 +16,11 @@ The format is line-oriented with bracketed section headers:
     name one-crossing     # free-form key-value lines
 
 Blank lines and '#' comments are ignored anywhere.  `parse_diagram`
-rejects duplicate crossing or edge ids, repeated designators, and
-malformed lines, always naming the offending line number.  It does not
-run semantic validation; callers decide whether to `validate()`.
+reads the text in one pass, splitting each line once, and stops at the
+first bad line in file order (a duplicate crossing or edge id, a repeated
+designator, a malformed line), naming its line number.  All mentions of
+one edge id share one string object.  It does not run semantic
+validation; callers decide whether to `validate()`.
 
 `parse_recipe` accepts the compact builder strings used on the command
 line and in the test corpus instead of files:
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 SECTIONS = ("crossings", "edges", "free_loops", "external", "meta")
+BITS = {"0": 0, "1": 1}
 
 
 class DiagramFormatError(ValueError):
@@ -76,45 +79,46 @@ def parse_diagram(text: str) -> Tuple[AnnularDiagram, Dict[str, str]]:
     loops: List[int] = []
     external: Dict[str, object] = {}
     meta: Dict[str, str] = {}
+    share = {}.setdefault  # one string object per edge id
     section: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if not parts:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
+        if parts[0][0] == "[" and parts[-1][-1] == "]":
+            name = line.strip()[1:-1].strip()
             if name not in SECTIONS:
                 raise DiagramFormatError(
                     lineno, "unknown section %r (want one of %s)" % (name, ", ".join(SECTIONS))
                 )
             section = name
-            continue
-        if section is None:
-            raise DiagramFormatError(lineno, "content before any [section] header")
-        parts = line.split()
-        if section == "crossings":
+        elif section == "crossings":
             if len(parts) != 5:
                 raise DiagramFormatError(
                     lineno, "crossing line needs an id and 4 edge ids, got %d tokens" % len(parts)
                 )
-            cid = parts[0]
+            cid, a, b, c, e = parts
             if cid in crossings:
                 raise DiagramFormatError(lineno, "duplicate crossing id %r" % cid)
-            crossings[cid] = (parts[1], parts[2], parts[3], parts[4])
+            crossings[cid] = (share(a, a), share(b, b), share(c, c), share(e, e))
         elif section == "edges":
             if len(parts) != 2:
                 raise DiagramFormatError(lineno, "edge line needs an id and a parity bit")
-            eid = parts[0]
+            eid, bit = parts
             if eid in edges:
                 raise DiagramFormatError(lineno, "duplicate edge id %r" % eid)
-            if parts[1] not in ("0", "1"):
-                raise DiagramFormatError(lineno, "edge parity must be 0 or 1, got %r" % parts[1])
-            edges[eid] = int(parts[1])
+            if bit not in BITS:
+                raise DiagramFormatError(lineno, "edge parity must be 0 or 1, got %r" % bit)
+            edges[share(eid, eid)] = BITS[bit]
+        elif section is None:
+            raise DiagramFormatError(lineno, "content before any [section] header")
         elif section == "free_loops":
             for tok in parts:
-                if tok not in ("0", "1"):
+                if tok not in BITS:
                     raise DiagramFormatError(lineno, "free loop parity must be 0 or 1, got %r" % tok)
-                loops.append(int(tok))
+                loops.append(BITS[tok])
         elif section == "external":
             if len(parts) != 2 or parts[0] not in ("inner", "outer"):
                 raise DiagramFormatError(lineno, "external line is 'inner <corner>' or 'outer <corner>'")
@@ -123,7 +127,7 @@ def parse_diagram(text: str) -> Tuple[AnnularDiagram, Dict[str, str]]:
             external[parts[0]] = _designator(parts[1], lineno)
         else:  # meta
             key = parts[0]
-            meta[key] = line[len(key):].strip()
+            meta[key] = line.strip()[len(key):].strip()
     inner = external.get("inner", UNBOUNDED)
     outer = external.get("outer", UNBOUNDED)
     d = AnnularDiagram(crossings, edges, loops, (inner, outer))

@@ -46,6 +46,7 @@ generators (`insert_r1`, `insert_r2`) never mutate their input.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 __all__ = [
@@ -75,8 +76,8 @@ class HalfEdges(NamedTuple):
     mate: List[int]  # h -> the other end of its edge
     epar: List[int]  # h -> the cut parity of its edge
     face: List[int]  # corner h -> the index of its face
-    faces: List[List[int]]  # each face as its corners, in trace order
-    walks: List[List[int]]  # each strand walk as its arrival half-edges
+    faces: List[int]  # each face by its smallest corner, where its trace starts
+    walks: List[int]  # each strand walk by its smallest arrival half-edge
     comp: List[int]  # crossing index -> union-find root of its component
 
 
@@ -217,7 +218,7 @@ class AnnularDiagram:
         # Every edge joins two half-edges of one component, so E = 2V there.
         t = self.half_edges()
         vertices = Counter(t.comp)
-        faces_by_comp = Counter(t.comp[face[0] >> 2] for face in t.faces)
+        faces_by_comp = Counter(t.comp[h >> 2] for h in t.faces)
         for root, v in sorted(vertices.items()):
             euler = faces_by_comp[root] - v
             if euler != 2:
@@ -236,8 +237,11 @@ class AnnularDiagram:
         # crossing graph is one component (nesting of separate components
         # is not recorded by the map data).
         if len(vertices) == 1:
-            leaving = _turned(t.epar, 1)  # corner h -> parity of the edge it leaves by
-            odd = [i for i, face in enumerate(t.faces) if sum(map(leaving.__getitem__, face)) % 2]
+            # each end g of an odd edge flips the face of corner g - 1, which leaves by it
+            flips = [0] * len(t.faces)
+            for g in compress(range(len(t.epar)), t.epar):
+                flips[t.face[(g & ~3) | ((g - 1) & 3)]] ^= 1
+            odd = list(compress(range(len(flips)), flips))
             ext = self.external_face_indices()
             expected = sorted(set(ext)) if ext is not None and ext[0] != ext[1] else []
             if odd != expected:
@@ -249,13 +253,22 @@ class AnnularDiagram:
 
     # -- faces and strands ---------------------------------------------------
 
-    def _darts(self, cycles: List[List[int]]) -> Tuple[Tuple[Dart, ...], ...]:
-        order = self.half_edges().order
-        return tuple(tuple((order[h >> 2], h & 3) for h in cycle) for cycle in cycles)
+    def _darts(self, turn: int, starts: List[int]) -> Tuple[Tuple[Dart, ...], ...]:
+        """Each cycle of h -> mate[h turned ``turn`` slots] as darts, in
+        trace order from its start."""
+        t = self.half_edges()
+        step = _turned(t.mate, turn)
+        cycles = []
+        for h in starts:
+            cycle = [h]
+            while step[cycle[-1]] != h:
+                cycle.append(step[cycle[-1]])
+            cycles.append(tuple((t.order[g >> 2], g & 3) for g in cycle))
+        return tuple(cycles)
 
     def trace_faces(self) -> Tuple[Tuple[Corner, ...], ...]:
         """All faces, each as its cyclic corner sequence."""
-        return self._cached("faces", lambda: self._darts(self.half_edges().faces))
+        return self._cached("faces", lambda: self._darts(1, self.half_edges().faces))
 
     def corner_face(self) -> Dict[Corner, int]:
         """corner -> index into trace_faces()."""
@@ -277,7 +290,7 @@ class AnnularDiagram:
         that meets a crossing.  Each walk lists arrival darts; the strand
         enters at slot s and leaves through slot s+2.  Free loops are not
         included (they carry no darts)."""
-        return self._cached("walks", lambda: self._darts(self.half_edges().walks))
+        return self._cached("walks", lambda: self._darts(2, self.half_edges().walks))
 
     def component_count(self) -> int:
         return len(self.half_edges().walks) + len(self.free_loops)
@@ -292,44 +305,44 @@ def _turned(values: List[int], k: int) -> List[int]:
     return out
 
 
-def _cycles(step: List[int], passages: bool = False) -> Tuple[List[int], List[List[int]]]:
-    """(label, cycles) of h -> step[h], each cycle listed from its smallest
-    member and labelled by its index.  With ``passages`` a visit to h also
-    claims h ^ 2, the other end of its passage, for the same cycle."""
+def _cycles(step: List[int], passages: bool = False) -> Tuple[List[int], List[int]]:
+    """(label, starts) of h -> step[h]: each cycle is labelled by its index
+    and starts at its smallest member.  With ``passages`` a visit to h
+    also claims h ^ 2, the other end of its passage, for the same cycle
+    (a strand walk never arrives at both ends of one passage)."""
     label = [-1] * len(step)
-    cycles: List[List[int]] = []
+    starts: List[int] = []
     for h0 in range(len(step)):
         if label[h0] < 0:
-            k = len(cycles)
-            cycle = []
+            k = len(starts)
+            starts.append(h0)
             h = h0
             while label[h] < 0:
                 label[h] = k
                 if passages:
                     label[h ^ 2] = k
-                cycle.append(h)
                 h = step[h]
-            cycles.append(cycle)
-    return label, cycles
+    return label, starts
 
 
 def _crossing_components(mate: List[int]) -> List[int]:
     """Union-find root of every crossing index, joining the two crossings
     of each edge in the order of the edge's first half-edge."""
     parent = list(range(len(mate) >> 2))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for g, h in enumerate(mate):
         if h > g:
-            a, b = find(g >> 2), find(h >> 2)
+            a, b = g >> 2, h >> 2
+            while parent[a] != a:  # find, halving the path
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
-    return [find(i) for i in range(len(parent))]
+    for i, a in enumerate(parent):
+        while parent[a] != a:
+            a = parent[a]
+        parent[i] = a
+    return parent
 
 
 def _build_half_edges(d: AnnularDiagram) -> HalfEdges:

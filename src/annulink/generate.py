@@ -94,16 +94,23 @@ def disk_alternating(
     count: int, seed: int, max_length: int = 10
 ) -> List[AnnularDiagram]:
     """Connected, simple, alternating diagrams in a disk, by rejection
-    sampling over alternating disk closures."""
+    sampling over alternating disk closures.  Raises ValueError when
+    1000 candidates per diagram give fewer than ``count``."""
     rng = random.Random(seed)
     out: List[AnnularDiagram] = []
-    while len(out) < count:
+    for _ in range(1000 * count):  # about one candidate in two is kept
+        if len(out) == count:
+            break
         strands = rng.choice((2, 3, 4))
         length = rng.randint(3, max_length)
         word = alternating_word(rng, strands, length)
         d = from_braid_closure(word, strands, disk=True)
         if is_connected(d) and is_simple(d):
             out.append(d)
+    if len(out) < count:
+        raise ValueError(
+            "%d disk candidates gave %d of %d simple diagrams" % (1000 * count, len(out), count)
+        )
     return out
 
 

@@ -9,21 +9,27 @@ value equality.
 The canonical text form lists terms by descending exponent, renders a
 unit coefficient as a bare power ("A^1 - A^-3 - A^-5"), a constant term
 as a bare integer, and a non-unit coefficient as "c*A^e".  The zero
-polynomial renders as "0".  ``parse`` inverts ``__str__``.
+polynomial renders as "0".  ``parse`` inverts ``__str__``, which raises
+`CoefficientSizeError` past `sys.get_int_max_str_digits`.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "A", "DELTA", "delta_power"]
+__all__ = ["LaurentPoly", "CoefficientSizeError", "ZERO", "ONE", "A", "DELTA", "delta_power"]
 
 # One additive term: "A^5", "2*A^-3", a bare "A", or a bare integer.
 _TERM = re.compile(
     r"\s*(?P<sign>[+-]?)\s*"
     r"(?:(?:(?P<coeff>\d+)\s*\*\s*)?A(?:\^(?P<exp>-?\d+))?|(?P<const>\d+))"
 )
+
+
+class CoefficientSizeError(ValueError):
+    """A coefficient too long to convert to text."""
 
 
 class LaurentPoly:
@@ -170,18 +176,24 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         chunks: List[str] = []
-        for exp, coeff in self.to_pairs():
-            mag = abs(coeff)
-            if exp == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "A^%d" % exp
-            else:
-                body = "%d*A^%d" % (mag, exp)
-            if not chunks:
-                chunks.append(("-" if coeff < 0 else "") + body)
-            else:
-                chunks.append(("- " if coeff < 0 else "+ ") + body)
+        try:
+            for exp, coeff in self.to_pairs():
+                mag = abs(coeff)
+                if exp == 0:
+                    body = str(mag)
+                elif mag == 1:
+                    body = "A^%d" % exp
+                else:
+                    body = "%d*A^%d" % (mag, exp)
+                if not chunks:
+                    chunks.append(("-" if coeff < 0 else "") + body)
+                else:
+                    chunks.append(("- " if coeff < 0 else "+ ") + body)
+        except ValueError as exc:  # only int-to-text conversion raises here
+            raise CoefficientSizeError(
+                "a coefficient has more than %d digits, the interpreter's limit for printing an integer"
+                % sys.get_int_max_str_digits()
+            ) from exc
         return " ".join(chunks)
 
     def __repr__(self) -> str:

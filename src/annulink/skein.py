@@ -115,16 +115,16 @@ def _label_circles(
 ) -> Tuple[List[int], List[int], List[int], List[int]]:
     """Trace every circle of one smoothing, free loops excluded.
 
-    Returns (circle, parity, pos, prefix): the circle index of every
-    half-edge, the parity of every circle, and for every half-edge its
-    position along its circle and the parity of the edges crossed
-    before reaching it.  Circles are numbered, and traced, from their
-    smallest half-edge; the trace leaves an even position along an edge
-    and an odd position along an arc of the smoothing."""
+    Returns (circle, parity, arc, prefix): the circle index of every
+    half-edge, the parity of every circle, and for every half-edge
+    whether the trace leaves it along an arc of the smoothing (1) or
+    along its edge (0), and the parity of the edges crossed before
+    reaching it.  Circles are numbered, and traced, from their smallest
+    half-edge."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     ident = [-1] * len(mate)
-    pos = [0] * len(ident)
+    arc = [0] * len(ident)
     prefix = [0] * len(ident)
     parity: List[int] = []
     for h0 in range(len(ident)):
@@ -132,21 +132,19 @@ def _label_circles(
             continue
         k = len(parity)
         par = 0
-        step = 0
         cur = h0
         while True:
             m = mate[cur]
             ident[cur] = ident[m] = k
-            pos[cur], pos[m] = step, step + 1
+            arc[m] = 1
             prefix[cur] = par
             par ^= epar[cur]
             prefix[m] = par
-            step += 2
             cur = m ^ 3 if signs[m >> 2] > 0 else m ^ 1
             if cur == h0:
                 break
         parity.append(par)
-    return ident, parity, pos, prefix
+    return ident, parity, arc, prefix
 
 
 def flip_counts(d: AnnularDiagram, sign: int) -> Tuple[int, int, List[int]]:
@@ -173,7 +171,7 @@ def flip_counts(d: AnnularDiagram, sign: int) -> Tuple[int, int, List[int]]:
     """
     if sign not in (1, -1):
         raise ValueError("smoothing signs must be +1 or -1")
-    ident, parity, pos, prefix = _label_circles(d, [sign] * d.n)
+    ident, parity, arc, prefix = _label_circles(d, [sign] * d.n)
     trivial = parity.count(0) + d.free_loops.count(0)
     essential = len(parity) + len(d.free_loops) - trivial
     old = 3 if sign > 0 else 1  # h ^ old: the partner of h now
@@ -189,8 +187,8 @@ def flip_counts(d: AnnularDiagram, sign: int) -> Tuple[int, int, List[int]]:
             continue
         # The trace comes off arc 1 at `leaves`, runs along a path and goes
         # onto arc 2 at `enters`; that path closes iff a new arc joins them.
-        leaves = j if pos[j] % 2 == 0 else j ^ old
-        enters = j ^ 2 if pos[j ^ 2] % 2 else j ^ new
+        leaves = j ^ old if arc[j] else j
+        enters = j ^ 2 if arc[j ^ 2] else j ^ new
         if leaves ^ new != enters:
             flipped.append(trivial)
             continue

@@ -395,6 +395,25 @@ class TestVerify:
         assert "unknown assumption" in err
 
 
+class TestResourceCaps:
+    """A diagram past a resource cap exits 3 with one line on stderr."""
+
+    @pytest.mark.parametrize("sub", ["bracket", "verify"])
+    def test_coefficient_too_long_to_print(self, capsys, sub):
+        # 19,999 free loops: a bracket coefficient of about 6,000 digits
+        rc, out, err = run(capsys, sub, "braid 20000: s1")
+        assert (rc, out) == (EXIT_CAP, "")
+        assert err.splitlines() == [
+            "a coefficient has more than %d digits, the interpreter's limit for printing an integer"
+            % sys.get_int_max_str_digits()
+        ]
+
+    def test_verify_crossing_cap(self, capsys):
+        rc, out, err = run(capsys, "verify", "braid 2: " + " ".join(["s1"] * 27))
+        assert (rc, out) == (EXIT_CAP, "")
+        assert err.splitlines() == ["diagram has 27 crossings; enumeration is capped at 26"]
+
+
 class TestGenerate:
     def test_writes_loadable_files(self, capsys, tmp_path):
         rc, out, _ = run(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from annulink import generate
 from annulink.analysis import (
     is_alternating,
     is_connected,
@@ -64,6 +65,11 @@ class TestAlternatingFamilies:
             assert is_connected(d)
             assert is_simple(d)
             assert is_alternating(d)
+
+    def test_disk_family_gives_up_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(generate, "is_simple", lambda d: False)
+        with pytest.raises(ValueError, match="2000 disk candidates gave 0 of 2"):
+            disk_alternating(2, seed=5)
 
 
 class TestOtherFamilies:
