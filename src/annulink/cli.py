@@ -58,7 +58,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-CAP_ERRORS = (BracketSizeError, CoefficientSizeError)
 
 ASSUMPTION_NAMES = (
     "non_h_split",
@@ -177,7 +176,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
                 w = -w
             rows.append(("writhe", str(w)))
             rows.append(("jones", str(j)))
-    except CAP_ERRORS as exc:
+    except (BracketSizeError, CoefficientSizeError) as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_CAP
     except ValueError as exc:
@@ -283,7 +282,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
     except DiagramFormatError as exc:
         return _fail_input(_format_error(exc))
-    except CAP_ERRORS as exc:
+    except CoefficientSizeError as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_CAP
     pair_records = corpus_mod.verify_pairs() if whole_corpus else []

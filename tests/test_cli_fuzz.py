@@ -5,8 +5,8 @@ never raise, whatever the argument, and the three that read a diagram
 must exit 2, with one line on stderr and nothing on stdout, exactly
 when `validate` rejects the same argument.  Three kinds of input:
 mutated `serialize_diagram` text, random bytes in a file, and random
-recipes of at most 10 crossings (`verify` enumerates every state, so
-larger recipes would only slow the test down).
+recipes of at most 10 crossings (more would reach `verify`'s
+enumeration cap, which raises by design).
 """
 
 import contextlib
