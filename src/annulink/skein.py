@@ -30,11 +30,16 @@ circle changed; ids of dead circles are reused, and the circle counts
 of the current state are one packed integer key, unpacked into the
 histogram once at the end.
 `bracket` enumerates them independently and is its oracle: the two
-must always agree and are never merged.  Each memoises its value on
-the diagram under its own key, so a diagram is evaluated at most once
-per route and neither route can read the other's result.  Both refuse
-diagrams with more than MAX_CROSSINGS crossings rather than start a
-hopeless enumeration.
+must always agree and are never merged.  It leaves crossing n - 1 open
+and traces each smoothing of the others from scratch, which gives some
+closed circles and two open paths between the open crossing's slots;
+the path from slot 0 ends at slot 3 (``+`` closes the two paths into
+two circles, ``-`` joins them into one), at slot 1 (the reverse) or at
+slot 2 (both join them into one).  Each route memoises its histogram
+and its value on the diagram under keys of its own, so a diagram is
+evaluated at most once per route and neither route can read the
+other's result.  Both refuse diagrams with more than MAX_CROSSINGS
+crossings rather than start a hopeless enumeration.
 """
 
 from __future__ import annotations
@@ -278,31 +283,59 @@ def _check_size(d: AnnularDiagram) -> None:
 def bracket(d: AnnularDiagram) -> LaurentPoly:
     """Reference bracket: resolve all 2^n smoothings from scratch.
 
-    Each state is traced independently; the only state shared between
-    iterations is a visit-stamp array, so this route has none of the
-    incremental bookkeeping `bracket_gray` relies on.  The value is
-    memoised on the diagram under this route's own key.
+    Crossing n - 1 is left open and each smoothing of the others is
+    traced independently, giving closed circles and two open paths
+    whose ends decide how each sign of the open crossing closes them:
+    into two circles when the path from slot 0 ends at slot 3 (``+``)
+    or slot 1 (``-``), otherwise into one.  The only state shared
+    between iterations is a visit-stamp array, so this route has none
+    of the incremental bookkeeping `bracket_gray` relies on.  The value
+    is memoised on the diagram under this route's own key.
     """
     _check_size(d)
-    return d._cached("bracket:plain", lambda: _assemble(_plain_states(d)))
+    return d._cached("bracket:plain", lambda: _assemble(_plain_histogram(d)))
+
+
+def _plain_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
+    """`_plain_states(d)`, memoised under this route's own key."""
+    return d._cached("states:plain", lambda: _plain_states(d))
 
 
 def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
-    """Histogram of smoothing invariants over all 2^n states, each traced
-    from scratch."""
+    """Histogram of smoothing invariants over all 2^n states: each of the
+    2^(n-1) smoothings of crossings 0 .. n-2 is traced from scratch, with
+    crossing n - 1 left open and then closed both ways (see `bracket`)."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     n = d.n
-    total = 4 * n
     free_triv = sum(1 for p in d.free_loops if p == 0)
     free_ess = len(d.free_loops) - free_triv
-    plus = [(h & ~3) | (3 - (h & 3)) for h in range(total)]
-    minus = [(h & ~3) | ((h & 3) ^ 1) for h in range(total)]
-    visited = [-1] * total
+    if n == 0:
+        return {(0, free_triv, free_ess): 1}
+    last = 4 * (n - 1)  # the open crossing's slots are last .. last + 3
+    plus = [(h & ~3) | (3 - (h & 3)) for h in range(last)]
+    minus = [(h & ~3) | ((h & 3) ^ 1) for h in range(last)]
+    visited = [-1] * (last + 4)
     hist: Dict[Tuple[int, int, int], int] = {}
-    for bits in range(1 << n):
-        triv = ess = 0
-        for h0 in range(total):
+    for bits in range(1 << (n - 1)):
+        pars, ends = [], []
+        cur = last
+        for _ in (0, 1):  # the path from slot 0, then the other one
+            par = 0
+            while True:
+                m = mate[cur]
+                visited[cur] = bits
+                visited[m] = bits
+                par ^= epar[cur]
+                if m >= last:
+                    break
+                cur = minus[m] if bits >> (m >> 2) & 1 else plus[m]
+            pars.append(par)
+            ends.append(m - last)
+            cur = last + 2 if m == last + 1 else last + 1
+        triv = free_triv
+        ess = free_ess
+        for h0 in range(last):
             if visited[h0] == bits:
                 continue
             par = 0
@@ -319,8 +352,16 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
                 ess += 1
             else:
                 triv += 1
-        key = (n - 2 * bits.bit_count(), triv + free_triv, ess + free_ess)
-        hist[key] = hist.get(key, 0) + 1
+        pa, pb = pars
+        end = ends[0]
+        one = (triv + 1 - (pa ^ pb), ess + (pa ^ pb))  # the paths join
+        two = (triv + 2 - pa - pb, ess + pa + pb)  # each path closes
+        ssum = n - 2 * bits.bit_count()
+        for key in (
+            (ssum,) + (two if end == 3 else one),
+            (ssum - 2,) + (two if end == 1 else one),
+        ):
+            hist[key] = hist.get(key, 0) + 1
     return hist
 
 
@@ -415,7 +456,12 @@ def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     value is memoised on the diagram under this route's own key.
     """
     _check_size(d)
-    return d._cached("bracket:gray", lambda: _assemble(_gray_states(d)))
+    return d._cached("bracket:gray", lambda: _assemble(_gray_histogram(d)))
+
+
+def _gray_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
+    """`_gray_states(d)`, memoised under this route's own key."""
+    return d._cached("states:gray", lambda: _gray_states(d))
 
 
 # -- orientation-dependent quantities ----------------------------------------

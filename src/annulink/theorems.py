@@ -28,8 +28,8 @@ fires.  Every conclusion is a disjunction, quoted verbatim in the
 result; the classifier never resolves the disjunct.
 
 `verify_all` bundles the four checks plus cross-route consistency
-checks (plain vs Gray-code bracket, circle-parity invariants,
-vanishing on nontrivial class) into a VerificationReport.
+checks (plain vs Gray-code state histogram and bracket, circle-parity
+invariants, vanishing on nontrivial class) into a VerificationReport.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .analysis import profile
 from .diagram import AnnularDiagram
 from .laurent import LaurentPoly
-from .skein import bracket, bracket_gray
+from .skein import _gray_histogram, _plain_histogram, bracket, bracket_gray
 
 __all__ = [
     "CheckRecord",
@@ -326,7 +326,10 @@ def _check_dual_route(d: AnnularDiagram) -> CheckRecord:
         )
     plain = bracket(d)
     gray = bracket_gray(d)
-    verdict = PASS if plain == gray else FAIL
+    # On a class-1 diagram both polynomials are 0, so compare the state
+    # histograms too: a wrong odd-p state shows only there.
+    same = plain == gray and _plain_histogram(d) == _gray_histogram(d)
+    verdict = PASS if same else FAIL
     return CheckRecord(
         "bracket_routes", (("n", d.n),), str(plain), str(gray), verdict
     )

@@ -1,5 +1,6 @@
 """State sums: counting rule, bracket routes, moves, writhe scaling."""
 
+import itertools
 import math
 import random
 
@@ -32,7 +33,7 @@ from annulink.skein import (
     state_circles,
     writhe,
 )
-from annulink.theorems import FAIL, verify_all
+from annulink.theorems import FAIL, PASS, verify_all
 from test_analysis import random_diagram
 
 
@@ -183,6 +184,63 @@ class TestGrayKernel:
         assert skein._ESSENTIAL == skein._TRIVIAL << skein._BITS
 
 
+def resolved_histogram(d):
+    """The state histogram built from `resolve`, one smoothing at a time."""
+    hist = {}
+    for signs in itertools.product((1, -1), repeat=d.n):
+        key = (sum(signs),) + resolve(d, signs)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+class TestPlainOpenCrossing:
+    """The plain route, which leaves crossing n - 1 open and closes it both
+    ways, against a third evaluator: `resolve` on every smoothing."""
+
+    @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
+    def test_random_diagrams(self, kind):
+        sizes = set()
+        for seed in range(60):
+            d = random_diagram(kind, seed)
+            if d.n <= 8:
+                sizes.add(d.n)
+                assert skein._plain_states(d) == resolved_histogram(d)
+        assert len(sizes) >= (1 if kind == "loops" else 4)
+
+    def test_no_crossings(self):
+        assert skein._plain_states(from_free_loops([])) == {(0, 0, 0): 1}
+        d = from_free_loops([0, 1, 1])
+        assert skein._plain_states(d) == resolved_histogram(d) == {(0, 1, 2): 1}
+
+    def test_one_crossing(self):
+        d = closure([1], 2)
+        assert d.n == 1
+        assert skein._plain_states(d) == resolved_histogram(d) == {(1, 0, 2): 1, (-1, 1, 0): 1}
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_kink_on_the_open_crossing(self, sign):
+        # insert_r1 adds the kink last; its loop joins slots 3-0 (+) or 0-1 (-),
+        # so the path from slot 0 ends at once, on slot 3 or slot 1
+        base = closure([1, -2, 1, 2], 3)
+        d = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
+        last = 4 * (d.n - 1)
+        assert d.half_edges().mate[last] == last + (3 if sign > 0 else 1)
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+    def test_open_path_ending_at_slot_2(self):
+        # not planar: opposite slots of the open crossing are joined
+        virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
+        assert virtual.half_edges().mate[0] == 2
+        assert skein._plain_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
+        # through x0: its + smoothing sends the path from x1 slot 0 to slot 3,
+        # its - smoothing to slot 2
+        d = AnnularDiagram(
+            {"x0": ("a", "b", "c", "d"), "x1": ("c", "a", "d", "b")},
+            {"a": 1, "b": 0, "c": 1, "d": 0},
+        )
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+
 class TestMoves:
     def test_r2_invariance(self):
         rng = random.Random(5)
@@ -311,6 +369,27 @@ class TestOracleIndependence:
         assert record.verdict == FAIL
         assert record.left == str(bracket(closure([1, -2, 3, 1, -2, 3], 4)))
         assert record.right == "A^4"
+
+    def test_wrong_odd_state_fails_route_check(self, monkeypatch):
+        # every state of a class-1 diagram has odd p and alpha(odd p) = 0, so
+        # both polynomials stay 0 and only the histograms tell them apart
+        d = closure([1, 2, 1, 2], 3)
+        assert z2_class(d) == 1
+        gray_states = skein._gray_states
+
+        def mutant(d):
+            hist = dict(gray_states(d))
+            key = min(hist)
+            assert key[2] % 2 == 1
+            hist[key] += 1
+            return hist
+
+        monkeypatch.setattr(skein, "_gray_states", mutant)
+        records = {r.check: r for r in verify_all(d).records}
+        assert records["vanishing_bracket"].verdict == PASS
+        record = records["bracket_routes"]
+        assert (record.left, record.right) == ("0", "0")
+        assert record.verdict == FAIL
 
 
 class TestCircleLabelling:

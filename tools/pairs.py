@@ -1,0 +1,125 @@
+"""Paired perfbench runs: a base commit against the working tree.
+
+    python3 tools/pairs.py --base HEAD --workload verify-sweep --seed 1 --pairs 4
+    python3 tools/pairs.py --base-tree ../parent --workload props-large --seed 3 --pairs 2 --seconds 10
+
+The base side is a ``git worktree`` of ``--base``, made in a temporary
+directory and removed at the end, or an existing checkout given as
+``--base-tree``.  Each pair runs ``perfbench/run.py`` once in the base
+and once in the working tree, each with its own copy of the benchmark,
+and alternates which side runs first.  A line per run (correct, ops/s,
+peak RSS) and per pair (change/parent ratios) is printed as it arrives;
+at the end, per metric, come the two medians,
+the change/parent ratio, how many pairs the change won and the parent's
+interquartile range.  Each end-to-end metric of ``BENCHMARK.json`` is
+marked ``ok`` when the change's median is no worse than the parent's by
+more than its bound, else ``OVER``.  ``--out`` writes every run to a
+JSON file.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in ``tree``; its JSON result line."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, timeout=seconds * 4 + 300,
+    )
+    if proc.returncode != 0:
+        sys.exit("pairs: perfbench failed in %s:\n%s" % (tree, proc.stderr))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def value(result: dict, name: str) -> float:
+    return result["metrics"][name]["value"]
+
+
+def quartiles(values: List[float]) -> List[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summary(runs: List[dict], manifest: dict) -> List[str]:
+    """One line per metric: medians, ratio, pairs won, parent IQR, bound."""
+    bounds = {m["name"]: m for m in manifest["end_to_end"]}
+    better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
+    lines = ["metric               parent       change   ratio   won parent IQR  bound"]
+    for name in runs[0]["parent"]["metrics"]:
+        base = [value(r["parent"], name) for r in runs]
+        new = [value(r["change"], name) for r in runs]
+        sign = 1 if better.get(name, "lower") == "higher" else -1
+        won = sum(1 for b, c in zip(base, new) if sign * (c - b) > 0)
+        mb, mc = statistics.median(base), statistics.median(new)
+        q1, _, q3 = quartiles(base)
+        verdict = ""
+        if name in bounds:
+            limit = bounds[name]["bound"]
+            ok = mc >= mb * (1 - limit) if sign > 0 else mc <= mb * (1 + limit)
+            verdict = "%s (%.0f%%)" % ("ok" if ok else "OVER", 100 * limit)
+        ratio = mc / mb if mb else float("nan")
+        lines.append("%-14s %12.6g %12.6g %7.3f %2d/%-2d %10.4g  %s"
+                     % (name, mb, mc, ratio, won, len(runs), q3 - q1, verdict))
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="alternating perfbench pairs, base commit vs working tree")
+    side = ap.add_mutually_exclusive_group(required=True)
+    side.add_argument("--base", help="commit to check out in a git worktree")
+    side.add_argument("--base-tree", help="an existing checkout of the base")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=4)
+    ap.add_argument("--seconds", type=float, default=35)
+    ap.add_argument("--out", help="write every run to this JSON file")
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    tmp = None
+    base = args.base_tree
+    if base is None:
+        tmp = tempfile.mkdtemp(prefix="pairs-")
+        base = os.path.join(tmp, "base")
+        subprocess.run(["git", "worktree", "add", "--detach", base, args.base], cwd=ROOT, check=True,
+                       capture_output=True)
+    runs: List[Dict[str, dict]] = []
+    try:
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for who in order:
+                pair[who] = run_bench(base if who == "parent" else ROOT, args.workload, args.seed, args.seconds)
+                print("pair %d %-6s correct=%s ops/s=%.4g rss=%.2f MB" % (
+                    k + 1, who, pair[who]["correct"], value(pair[who], "ops_per_s"), value(pair[who], "peak_rss_mb")),
+                    flush=True)
+            runs.append(pair)
+            ratios = ("%s %.3f" % (name, value(pair["change"], name) / value(pair["parent"], name))
+                      for name in ("ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb"))
+            print("pair %d change/parent: %s" % (k + 1, " ".join(ratios)), flush=True)
+    finally:
+        if tmp is not None:
+            subprocess.run(["git", "worktree", "remove", "--force", base], cwd=ROOT, capture_output=True)
+            shutil.rmtree(tmp, ignore_errors=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": runs}, fh)
+    print("\n".join(summary(runs, manifest)))
+    return 0 if all(r["parent"]["correct"] and r["change"]["correct"] for r in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
