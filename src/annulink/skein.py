@@ -23,19 +23,19 @@ unknot to delta, a single essential circle to 0.
 Every routine here walks the diagram's cached `half_edges` table; the
 half-edge numbering and its step rules are stated once, in `diagram`.
 
-`bracket_gray` visits the 2^n smoothings in one Gray-code walk from
-the all-plus state and is the route used in production.  At each step
-it flips one crossing and relabels, in place, only the path whose
-circle changed; ids of dead circles are reused, and the circle counts
-of the current state are one packed integer key, unpacked into the
-histogram once at the end.
+`bracket_gray` is the route used in production: a Gray-code walk over
+crossings 1 .. n - 1 that relabels in place only the path a flip
+changed, counting each state with its twin, crossing 0 at ``-``, in
+closed form: a merge, a split or a reconnection (see `bracket_gray`).
 `bracket` enumerates them independently and is its oracle: the two
 must always agree and are never merged.  It leaves crossing n - 1 open
 and traces each smoothing of the others from scratch, which gives some
 closed circles and two open paths between the open crossing's slots;
 the path from slot 0 ends at slot 3 (``+`` closes the two paths into
 two circles, ``-`` joins them into one), at slot 1 (the reverse) or at
-slot 2 (both join them into one).  Each route memoises its histogram
+slot 2 (both join them into one).  Plain closes its open crossing from
+traced path ends and Gray closes crossing 0 from live circle ids, so
+the routes share no step.  Each route memoises its histogram
 and its value on the diagram under keys of its own, so a diagram is
 evaluated at most once per route and neither route can read the
 other's result.  Both refuse diagrams with more than MAX_CROSSINGS
@@ -335,7 +335,9 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
             cur = last + 2 if m == last + 1 else last + 1
         triv = free_triv
         ess = free_ess
-        for h0 in range(last):
+        # every arc of either smoothing joins an even slot to an odd one, so
+        # every closed circle holds an even half-edge below last
+        for h0 in range(0, last, 2):
             if visited[h0] == bits:
                 continue
             par = 0
@@ -366,8 +368,8 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 
 
 def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
-    """Histogram of smoothing invariants over all 2^n states, visited in
-    Gray-code order from the all-plus state.
+    """Histogram of smoothing invariants over all 2^n states, two per step
+    of a Gray-code walk over crossings 1 .. n - 1 (see `bracket_gray`).
 
     Flipping crossing t replaces its two arcs.  If they lay on two
     circles, the path of the second one is relabelled into the first and
@@ -381,6 +383,10 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     n = d.n
+    free_triv = d.free_loops.count(0)
+    free_ess = len(d.free_loops) - free_triv
+    if n == 0:
+        return {(0, free_triv, free_ess): 1}
     ident, seed = _label_circles(d, [1] * n)[:2]
     parity = seed + [0] * (2 * n + 1 - len(seed))
     free = list(range(len(parity) - 1, len(seed) - 1, -1))
@@ -388,12 +394,31 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     unit = (_TRIVIAL, _ESSENTIAL)  # key step per circle of parity 0, 1
     key = seed.count(0) * _TRIVIAL + (len(seed) - seed.count(0)) * _ESSENTIAL
     counts: Dict[int, int] = {}
-    for i in range(1, 1 << n):
-        try:
-            counts[key] += 1
-        except KeyError:
-            counts[key] = 1
-        t = (i & -i).bit_length() - 1  # the crossing to flip
+    for i in range(1, (1 << (n - 1)) + 1):
+        # the twin: crossing 0's + arcs are 0-3 and 1-2, its - arcs 0-1, 2-3
+        ia, ib = ident[0], ident[2]
+        if ia != ib:  # two circles merge
+            pa, pb = parity[ia], parity[ib]
+            k0 = key + 1 + unit[pa ^ pb] - unit[pa] - unit[pb]
+        else:  # one circle: read the path from 0 to crossing 0's next slot
+            par = 0
+            cur = 0
+            while True:
+                m = mate[cur]
+                par ^= epar[cur]
+                if m < 4:
+                    break
+                cur = partner[m]
+            if m == 1:  # arc 0-1 closes the path into a circle of its own
+                pa = parity[ia]
+                k0 = key + 1 + unit[par] + unit[pa ^ par] - unit[pa]
+            else:  # m == 2: the circle reconnects to itself
+                k0 = key + 1
+        counts[key] = counts.get(key, 0) + 1
+        counts[k0] = counts.get(k0, 0) + 1
+        t = (i & -i).bit_length()  # the crossing to flip
+        if t == n:  # every state of crossings 1 .. n - 1 is counted
+            break
         j = 4 * t
         if partner[j] == j + 3:  # + to -: arcs j-(j+1), (j+2)-(j+3)
             partner[j], partner[j + 1], partner[j + 2], partner[j + 3] = j + 1, j, j + 3, j + 2
@@ -436,9 +461,6 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
         else:
             parity[k], parity[ia] = par, pa ^ par
             key += unit[par] + unit[pa ^ par] - unit[pa]
-    counts[key] = counts.get(key, 0) + 1  # the last state of the walk
-    free_triv = d.free_loops.count(0)
-    free_ess = len(d.free_loops) - free_triv
     hist: Dict[Tuple[int, int, int], int] = {}
     for key, count in counts.items():
         pop, triv, ess = key & _FIELD, key >> _BITS & _FIELD, key >> 2 * _BITS
@@ -449,10 +471,14 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     """Bracket via Gray-code enumeration with incremental circle updates.
 
-    One walk visits every smoothing from the all-plus state, flipping
-    one crossing per step and relabelling in place only the path whose
-    circle changed.  Ids of dead circles are reused, and the counts are
-    kept in one packed key per state, unpacked once at the end.  The
+    Crossing 0 is held at ``+`` while one walk visits the 2^(n-1)
+    smoothings of crossings 1 .. n - 1, flipping one per step and
+    relabelling in place only the path whose circle changed.  At each
+    state the twin with crossing 0 at ``-`` is counted in closed form:
+    if crossing 0's ``+`` arcs lie on two circles, these merge; if on
+    one, a read-only walk from slot 0 comes back at slot 1 (a circle of
+    the walked parity splits off) or at slot 2 (the circle reconnects to
+    itself).  Crossing 0 never writes to the walk's tables.  The
     value is memoised on the diagram under this route's own key.
     """
     _check_size(d)

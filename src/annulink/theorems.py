@@ -327,12 +327,16 @@ def _check_dual_route(d: AnnularDiagram) -> CheckRecord:
     plain = bracket(d)
     gray = bracket_gray(d)
     # On a class-1 diagram both polynomials are 0, so compare the state
-    # histograms too: a wrong odd-p state shows only there.
-    same = plain == gray and _plain_histogram(d) == _gray_histogram(d)
-    verdict = PASS if same else FAIL
-    return CheckRecord(
-        "bracket_routes", (("n", d.n),), str(plain), str(gray), verdict
-    )
+    # histograms too: a wrong odd-p state shows only there, and the note
+    # names the first key at which they differ.
+    note = ""
+    if plain == gray:
+        hp, hg = _plain_histogram(d), _gray_histogram(d)
+        if hp != hg:
+            key = min(k for k in hp.keys() | hg.keys() if hp.get(k) != hg.get(k))
+            note = "histograms differ at %s: plain=%d gray=%d" % (key, hp.get(key, 0), hg.get(key, 0))
+    verdict = PASS if plain == gray and not note else FAIL
+    return CheckRecord("bracket_routes", (("n", d.n),), str(plain), str(gray), verdict, note)
 
 
 class VerificationReport(NamedTuple):

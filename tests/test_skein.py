@@ -241,6 +241,102 @@ class TestPlainOpenCrossing:
         assert skein._plain_states(d) == resolved_histogram(d)
 
 
+def twin_cases(d):
+    """How each smoothing with crossing 0 at + reaches its twin, crossing 0
+    at -: "merge" when crossing 0's + arcs lie on two circles, otherwise
+    the slot at which the path from slot 0 first comes back to crossing 0,
+    with that path's parity."""
+    t = d.half_edges()
+    cases = set()
+    for rest in itertools.product((1, -1), repeat=d.n - 1):
+        signs = (1,) + rest
+        ident = skein._label_circles(d, signs)[0]
+        if ident[0] != ident[2]:
+            cases.add(("merge", None))
+            continue
+        par, cur = 0, 0
+        while True:
+            m = t.mate[cur]
+            par ^= t.epar[cur]
+            if m < 4:
+                break
+            cur = m ^ 3 if signs[m >> 2] > 0 else m ^ 1
+        cases.add((m, par))
+    return cases
+
+
+def first_crossing(d, cid):
+    """``d`` with crossing ``cid`` moved to the front of the crossing order."""
+    crossings = {cid: d.crossings[cid], **d.crossings}
+    return AnnularDiagram(crossings, d.edge_parity, d.free_loops, d.external)
+
+
+class TestGrayOpenCrossing:
+    """The Gray walk, which holds crossing 0 at + and counts each state's
+    twin with crossing 0 at - in closed form, against a third evaluator:
+    `resolve` on every smoothing."""
+
+    @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
+    def test_random_diagrams(self, kind):
+        sizes = set()
+        for seed in range(60):
+            d = random_diagram(kind, seed)
+            if d.n <= 8:
+                sizes.add(d.n)
+                assert skein._gray_states(d) == resolved_histogram(d)
+        assert len(sizes) >= (1 if kind == "loops" else 4)
+
+    def test_no_crossings(self):
+        assert skein._gray_states(from_free_loops([])) == {(0, 0, 0): 1}
+        d = from_free_loops([0, 1, 1])
+        assert skein._gray_states(d) == resolved_histogram(d) == {(0, 1, 2): 1}
+
+    def test_one_crossing(self):
+        d = closure([1], 2)
+        assert d.n == 1
+        assert skein._gray_states(d) == resolved_histogram(d) == {(1, 0, 2): 1, (-1, 1, 0): 1}
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_kink_on_crossing_0(self, sign):
+        # a + kink's loop joins slots 3-0, a closed circle of its own that
+        # merges at -; a - kink's loop joins 0-1, so the path from slot 0
+        # comes back at once, at slot 1, along the loop's even edge
+        base = closure([1, -2, 1, 2], 3)
+        kinked = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
+        (kink,) = set(kinked.crossings) - set(base.crossings)
+        d = first_crossing(kinked, kink)
+        assert d.half_edges().order[0] == kink
+        assert twin_cases(d) == ({("merge", None)} if sign > 0 else {(1, 0)})
+        assert skein._gray_states(d) == resolved_histogram(d)
+
+    def test_reconnect_at_slot_2(self):
+        # not planar: opposite slots of crossing 0 are joined
+        virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
+        assert twin_cases(virtual) == {(2, 1)}
+        assert skein._gray_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
+        # through x1: at -, the path from x0 slot 0 runs through it to slot 2
+        d = AnnularDiagram(
+            {"x0": ("a", "b", "c", "d"), "x1": ("c", "a", "d", "b")},
+            {"a": 1, "b": 0, "c": 1, "d": 0},
+        )
+        assert (2, 0) in twin_cases(d)
+        assert skein._gray_states(d) == resolved_histogram(d)
+
+    def test_odd_split_at_slot_1(self):
+        # slots 0-1 of crossing 0 joined by an odd edge: its - smoothing
+        # splits off an essential circle
+        d = AnnularDiagram({"x1": ("a", "a", "b", "b")}, {"a": 1, "b": 1})
+        assert twin_cases(d) == {(1, 1)}
+        assert skein._gray_states(d) == resolved_histogram(d) == {(1, 1, 0): 1, (-1, 0, 2): 1}
+        # the same split, reached through a second crossing's path
+        d = AnnularDiagram(
+            {"x0": ("a", "b", "c", "d"), "x1": ("a", "b", "c", "d")},
+            {"a": 1, "b": 0, "c": 0, "d": 0},
+        )
+        assert (1, 1) in twin_cases(d)
+        assert skein._gray_states(d) == resolved_histogram(d)
+
+
 class TestMoves:
     def test_r2_invariance(self):
         rng = random.Random(5)
@@ -390,6 +486,10 @@ class TestOracleIndependence:
         record = records["bracket_routes"]
         assert (record.left, record.right) == ("0", "0")
         assert record.verdict == FAIL
+        key = min(skein._plain_states(d))
+        count = skein._plain_states(d)[key]
+        assert record.note == "histograms differ at %s: plain=%d gray=%d" % (key, count, count + 1)
+        assert record.line().endswith("(%s)" % record.note)
 
 
 class TestCircleLabelling:
