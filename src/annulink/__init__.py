@@ -8,8 +8,8 @@ statements on demand.
 
 Quick start:
 
-    >>> from annulink import bracket, from_braid_closure
-    >>> print(bracket(from_braid_closure([1, 1, 1], 2, disk=True)))
+    >>> from annulink import bracket_gray, from_braid_closure
+    >>> print(bracket_gray(from_braid_closure([1, 1, 1], 2, disk=True)))
     A^7 + A^3 + A^-1 - A^-9
 """
 

@@ -59,24 +59,50 @@ EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-ASSUMPTION_NAMES = (
-    "non_h_split",
-    "not_in_3ball",
-    "no_double_sphere_intersection",
-)
+ASSUMPTION_NAMES = LinkAssertions._fields
 
 
 def _emit(line: str = "") -> None:
     sys.stdout.write(line + "\n")
 
 
-def _format_error(exc: "DiagramFormatError") -> str:
-    return str(exc) if exc.line else exc.message
-
-
-def _fail_input(message: str) -> int:
+def _fail(code: int, message: str) -> int:
     sys.stderr.write(message + "\n")
-    return EXIT_INPUT
+    return code
+
+
+def _fmt_value(v: object) -> str:
+    if v is None:
+        return "-"
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return str(v)
+
+
+def _emit_rows(name: str, rows: Sequence[Tuple[str, str]], fmt: str) -> None:
+    """Print key/value rows: one ``k = v`` line each, or a single
+    ``target=<name> k=v ...`` line when structured."""
+    if fmt == "structured":
+        _emit(" ".join(["target=%s" % name] + ["%s=%s" % kv for kv in rows]))
+    else:
+        for kv in rows:
+            _emit("%s = %s" % kv)
+
+
+def _emit_records(
+    entry: str, records: Sequence[CheckRecord], text: Sequence[str], fmt: str
+) -> None:
+    """Print check records: their ``text`` lines, or one
+    ``entry=<entry> check=... verdict=...`` line each when structured."""
+    if fmt != "structured":
+        for line in text:
+            _emit(line)
+        return
+    for rec in records:
+        line = "entry=%s check=%s verdict=%s" % (entry, rec.check, rec.verdict)
+        if rec.verdict != SKIP:
+            line += " left=%s right=%s" % (_fmt_value(rec.left), _fmt_value(rec.right))
+        _emit(line)
 
 
 def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
@@ -134,10 +160,7 @@ def _parse_orientation(text: Optional[str]) -> Optional[List[int]]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        name, d = _load_target(args.diagram, checked=False)
-    except DiagramFormatError as exc:
-        return _fail_input(_format_error(exc))
+    name, d = _load_target(args.diagram, checked=False)
     violations = d.validate()
     if not violations:
         if args.format == "structured":
@@ -156,78 +179,44 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    try:
-        name, d = _load_target(args.diagram)
-        orientation = _parse_orientation(args.orientation)
-    except DiagramFormatError as exc:
-        return _fail_input(_format_error(exc))
+    name, d = _load_target(args.diagram)
+    orientation = _parse_orientation(args.orientation)
     try:
         poly = bracket_gray(d)
-        rows: List[Tuple[str, str]] = []
-        if args.mirror:
-            poly = poly.mirror()
-        rows.append(("bracket", str(poly)))
-        rows.append(("breadth", str(poly.breadth())))
-        if args.jones:
+    except BracketSizeError as exc:  # exit 3 here only: verify lets it raise
+        return _fail(EXIT_CAP, str(exc))
+    if args.mirror:
+        poly = poly.mirror()
+    rows = [("bracket", str(poly)), ("breadth", str(poly.breadth()))]
+    if args.jones:
+        try:
             w = writhe(d, orientation)
-            j = jones(d, orientation, w=w)
-            if args.mirror:
-                j = j.mirror()
-                w = -w
-            rows.append(("writhe", str(w)))
-            rows.append(("jones", str(j)))
-    except (BracketSizeError, CoefficientSizeError) as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_CAP
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    if args.format == "structured":
-        _emit("target=%s " % name + " ".join("%s=%s" % kv for kv in rows))
-    else:
-        for key, value in rows:
-            _emit("%s = %s" % (key, value))
+        except ValueError as exc:  # an orientation that does not fit the diagram
+            raise DiagramFormatError(0, str(exc)) from exc
+        j = jones(d, orientation, w=w)
+        if args.mirror:
+            j, w = j.mirror(), -w
+        rows += [("writhe", str(w)), ("jones", str(j))]
+    _emit_rows(name, rows, args.format)
     return EXIT_OK
 
 
 def cmd_props(args: argparse.Namespace) -> int:
-    try:
-        name, d = _load_target(args.diagram)
-    except DiagramFormatError as exc:
-        return _fail_input(_format_error(exc))
+    name, d = _load_target(args.diagram)
     record = profile(d).as_record()
     record["components"] = d.component_count()
-    items = list(record.items())
-    if args.format == "structured":
-        _emit(
-            "target=%s " % name
-            + " ".join("%s=%s" % (k, _fmt_value(v)) for k, v in items)
-        )
-    else:
-        for k, v in items:
-            _emit("%s = %s" % (k, _fmt_value(v)))
+    _emit_rows(name, [(k, _fmt_value(v)) for k, v in record.items()], args.format)
     return EXIT_OK
 
 
-def _fmt_value(v: object) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    return str(v)
-
-
 def _assumptions(args: argparse.Namespace) -> LinkAssertions:
-    chosen = set()
-    for tok in (args.assume or "").split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    chosen = [tok.strip() for tok in args.assume.split(",") if tok.strip()]
+    for tok in chosen:
         if tok not in ASSUMPTION_NAMES:
             raise DiagramFormatError(
                 0, "unknown assumption %r (want %s)" % (tok, ", ".join(ASSUMPTION_NAMES))
             )
-        chosen.add(tok)
-    return LinkAssertions(**{name: name in chosen for name in ASSUMPTION_NAMES})
+    return LinkAssertions(**dict.fromkeys(chosen, True))
 
 
 def _dump_diagnostic(name: str, d: AnnularDiagram, failures: Sequence[CheckRecord]) -> None:
@@ -247,18 +236,6 @@ def _dump_diagnostic(name: str, d: AnnularDiagram, failures: Sequence[CheckRecor
         _emit("  failed %s: left=%s right=%s" % (rec.check, rec.left, rec.right))
 
 
-def _print_report(report, fmt: str) -> None:
-    if fmt == "structured":
-        for rec in report.records:
-            line = "entry=%s check=%s verdict=%s" % (report.name, rec.check, rec.verdict)
-            if rec.verdict != SKIP:
-                line += " left=%s right=%s" % (_fmt_value(rec.left), _fmt_value(rec.right))
-            _emit(line)
-    else:
-        for line in report.lines():
-            _emit(line)
-
-
 def _verify_target(
     target: str, flags: LinkAssertions
 ) -> Tuple[VerificationReport, AnnularDiagram]:
@@ -274,29 +251,15 @@ def _verify_target(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     whole_corpus = args.target == "corpus"
-    try:
-        flags = _assumptions(args)
-        checked = [
-            _verify_target(t, flags)
-            for t in (corpus_mod.names() if whole_corpus else [args.target])
-        ]
-    except DiagramFormatError as exc:
-        return _fail_input(_format_error(exc))
-    except CoefficientSizeError as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_CAP
+    flags = _assumptions(args)
+    checked = [
+        _verify_target(t, flags)
+        for t in (corpus_mod.names() if whole_corpus else [args.target])
+    ]
     pair_records = corpus_mod.verify_pairs() if whole_corpus else []
-
     for report, _ in checked:
-        _print_report(report, args.format)
-    for rec in pair_records:
-        if args.format == "structured":
-            _emit(
-                "entry=pairs check=%s verdict=%s left=%s right=%s"
-                % (rec.check, rec.verdict, rec.left, rec.right)
-            )
-        else:
-            _emit(rec.line())
+        _emit_records(report.name, report.records, report.lines(), args.format)
+    _emit_records("pairs", pair_records, [rec.line() for rec in pair_records], args.format)
     failed = [(report, d) for report, d in checked if not report.ok()]
     for report, d in failed:
         _dump_diagnostic(report.name, d, report.failures())
@@ -313,7 +276,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         diagrams = generate_family(args.family, args.size, args.seed)
     except ValueError as exc:
-        return _fail_input(str(exc))
+        raise DiagramFormatError(0, str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     for k, d in enumerate(diagrams):
         meta = {
@@ -350,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--mirror",
         action="store_true",
-        help="report values for the mirror diagram (swaps A and A^-1)",
+        help="bracket only: report values for the mirror diagram (swaps A and A^-1)",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -393,15 +356,27 @@ def _build_parser() -> argparse.ArgumentParser:
 _parser: Optional[argparse.ArgumentParser] = None
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run one parsed command.  The one place where an error becomes an
+    exit code: bad input exits 2 and a coefficient too long to print
+    exits 3, each with one line on stderr."""
+    try:
+        if args.mirror and args.command != "bracket":
+            raise DiagramFormatError(0, "--mirror applies to bracket only, not %s" % args.command)
+        return args.func(args)
+    except DiagramFormatError as exc:
+        return _fail(EXIT_INPUT, str(exc) if exc.line else exc.message)
+    except CoefficientSizeError as exc:
+        return _fail(EXIT_CAP, str(exc))
+    except BrokenPipeError:
+        return EXIT_OK
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:  # built once per process: it costs about 0.6 ms
         _parser = _build_parser()
-    args = _parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        return EXIT_OK
+    return _run(_parser.parse_args(argv))
 
 
 if __name__ == "__main__":

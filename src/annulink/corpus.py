@@ -26,7 +26,7 @@ run surfaces the discrepancy instead of hiding it.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .analysis import profile
 from .diagfile import parse_recipe
@@ -34,7 +34,7 @@ from .diagram import AnnularDiagram
 from .generate import generate_family
 from .laurent import LaurentPoly
 from .skein import bracket_gray
-from .theorems import FAIL, PASS, CheckRecord, LinkAssertions, VerificationReport, verify_all
+from .theorems import FAIL, PASS, CheckRecord, Hyp, LinkAssertions, VerificationReport, verify_all
 
 __all__ = [
     "CorpusEntry",
@@ -325,47 +325,25 @@ def get(name: str) -> CorpusEntry:
         )
 
 
+def _compare(check: str, hyp: Hyp, got: object, want: object, equal: bool = True) -> CheckRecord:
+    """A record that passes when ``got == want`` is ``equal``."""
+    return CheckRecord(check, hyp, got, want, PASS if (got == want) == equal else FAIL)
+
+
 def _expected_checks(entry: CorpusEntry, d: AnnularDiagram) -> List[CheckRecord]:
-    hyp = (("source", entry.source),)
-    out: List[CheckRecord] = []
+    rows: List[Tuple[str, object, object]] = []
     if entry.expected_bracket is not None:
         want = LaurentPoly.parse(entry.expected_bracket)
-        got = bracket_gray(d)
-        out.append(
-            CheckRecord(
-                "expected_bracket",
-                hyp,
-                str(got),
-                str(want),
-                PASS if got == want else FAIL,
-            )
-        )
+        rows.append(("expected_bracket", str(bracket_gray(d)), str(want)))
     if entry.expected_breadth is not None:
-        got_b = bracket_gray(d).breadth()
-        out.append(
-            CheckRecord(
-                "expected_breadth",
-                hyp,
-                got_b,
-                entry.expected_breadth,
-                PASS if got_b == entry.expected_breadth else FAIL,
-            )
-        )
-    if entry.expected_profile:
-        record = profile(d).as_record()
-        for key in sorted(entry.expected_profile):
-            want_v = entry.expected_profile[key]
-            got_v = record[key]
-            out.append(
-                CheckRecord(
-                    "expected_%s" % key,
-                    hyp,
-                    got_v,
-                    want_v,
-                    PASS if got_v == want_v else FAIL,
-                )
-            )
-    return out
+        rows.append(("expected_breadth", bracket_gray(d).breadth(), entry.expected_breadth))
+    record = profile(d).as_record()
+    rows += [
+        ("expected_%s" % key, record[key], entry.expected_profile[key])
+        for key in sorted(entry.expected_profile)
+    ]
+    hyp = (("source", entry.source),)
+    return [_compare(check, hyp, got, want) for check, got, want in rows]
 
 
 def verify_entry(
@@ -384,22 +362,20 @@ def verify_entry(
     return VerificationReport(entry.name, base.assumptions, records)
 
 
+# Pair check kind -> (the value read off each diagram, whether the two
+# values should be equal).
+_PAIR_KINDS: Dict[str, Tuple[Callable[[AnnularDiagram], object], bool]] = {
+    "equal_breadth": (lambda d: bracket_gray(d).breadth(), True),
+    "equal_bracket": (lambda d: str(bracket_gray(d)), True),
+    "crossing_counts_differ": (lambda d: d.n, False),
+}
+
+
 def verify_pairs() -> List[CheckRecord]:
     """Recheck the recorded relationships between entries."""
     out: List[CheckRecord] = []
     for kind, a, b in PAIR_CHECKS:
-        da, db = get(a).build(), get(b).build()
+        value, equal = _PAIR_KINDS[kind]
         hyp = (("pair", "%s/%s" % (a, b)),)
-        if kind == "equal_breadth":
-            la, rb = bracket_gray(da).breadth(), bracket_gray(db).breadth()
-            verdict = PASS if la == rb else FAIL
-        elif kind == "equal_bracket":
-            la, rb = str(bracket_gray(da)), str(bracket_gray(db))
-            verdict = PASS if la == rb else FAIL
-        elif kind == "crossing_counts_differ":
-            la, rb = da.n, db.n
-            verdict = PASS if la != rb else FAIL
-        else:
-            raise ValueError("unknown pair check %r" % kind)
-        out.append(CheckRecord(kind, hyp, la, rb, verdict))
+        out.append(_compare(kind, hyp, value(get(a).build()), value(get(b).build()), equal))
     return out

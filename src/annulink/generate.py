@@ -17,7 +17,7 @@ alternating diagram by construction.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .analysis import is_connected, is_simple
 from .diagram import (
@@ -163,27 +163,22 @@ def r_move_perturbations(
     return out
 
 
+# Family name -> builder(size, seed), in the order the CLI lists them.
+_BUILDERS: Dict[str, Callable[[int, int], List[AnnularDiagram]]] = {
+    "alternating-braid-closures": alternating_braid_closures,
+    "random-braid-closures": random_braid_closures,
+    "disk-alternating": disk_alternating,
+    "parallel-cores": lambda size, seed: [parallel_cores(size)],
+    "r-move-perturbations": r_move_perturbations,
+}
+
+FAMILIES = tuple(_BUILDERS)
+
+
 def generate_family(family: str, size: int, seed: int) -> List[AnnularDiagram]:
     """Dispatch by family name (the command-line entry point)."""
-    if family == "alternating-braid-closures":
-        return alternating_braid_closures(size, seed)
-    if family == "random-braid-closures":
-        return random_braid_closures(size, seed)
-    if family == "disk-alternating":
-        return disk_alternating(size, seed)
-    if family == "parallel-cores":
-        return [parallel_cores(size)]
-    if family == "r-move-perturbations":
-        return r_move_perturbations(size, seed)
-    raise ValueError(
-        "unknown family %r (want one of %s)" % (family, ", ".join(FAMILIES))
-    )
-
-
-FAMILIES = (
-    "alternating-braid-closures",
-    "random-braid-closures",
-    "disk-alternating",
-    "parallel-cores",
-    "r-move-perturbations",
-)
+    if family not in _BUILDERS:
+        raise ValueError(
+            "unknown family %r (want one of %s)" % (family, ", ".join(FAMILIES))
+        )
+    return _BUILDERS[family](size, seed)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .analysis import profile
+from .analysis import DiagramProfile, profile
 from .diagram import AnnularDiagram
 from .laurent import LaurentPoly
 from .skein import _gray_histogram, _plain_histogram, bracket, bracket_gray
@@ -92,11 +92,17 @@ class LinkAssertions(NamedTuple):
     no_double_sphere_intersection: bool = False
 
     def items(self) -> Hyp:
-        return (
-            ("non_h_split", self.non_h_split),
-            ("not_in_3ball", self.not_in_3ball),
-            ("no_double_sphere_intersection", self.no_double_sphere_intersection),
-        )
+        return tuple(zip(self._fields, self))
+
+
+def _hyp(p: DiagramProfile, *fields: str) -> Hyp:
+    """The named profile fields as hypotheses, in the order given."""
+    return tuple((f, getattr(p, f)) for f in fields)
+
+
+def _skip(check: str, note: str, p: DiagramProfile, *fields: str) -> CheckRecord:
+    """A hypotheses-not-met record showing the named profile fields."""
+    return CheckRecord(check, _hyp(p, *fields), None, None, SKIP, note)
 
 
 def check_breadth_upper(d: AnnularDiagram) -> CheckRecord:
@@ -104,14 +110,7 @@ def check_breadth_upper(d: AnnularDiagram) -> CheckRecord:
     equality whenever the diagram is adequate on both sides."""
     p = profile(d)
     if p.z2_class != 0:
-        return CheckRecord(
-            "breadth_upper",
-            (("z2_class", p.z2_class),),
-            None,
-            None,
-            SKIP,
-            "needs mod-2 class 0",
-        )
+        return _skip("breadth_upper", "needs mod-2 class 0", p, "z2_class")
     adequate = p.plus_adequate and p.minus_adequate
     B = bracket_gray(d).breadth()
     bound = 2 * (p.n + p.s_plus + p.s_minus)
@@ -131,17 +130,12 @@ def check_state_count_bound(d: AnnularDiagram) -> CheckRecord:
     trivial mod-2 class)."""
     p = profile(d)
     if not p.connected or p.z2_class != 0:
-        return CheckRecord(
-            "state_count_bound",
-            (("connected", p.connected), ("z2_class", p.z2_class)),
-            None,
-            None,
-            SKIP,
-            "needs a connected diagram of mod-2 class 0",
+        return _skip(
+            "state_count_bound", "needs a connected diagram of mod-2 class 0", p, "connected", "z2_class"
         )
     states = p.s_plus + p.s_minus
     bound = p.n + 2 if p.in_disk else p.n
-    hyp: Hyp = (("connected", True), ("z2_class", 0), ("in_disk", p.in_disk))
+    hyp = _hyp(p, "connected", "z2_class", "in_disk")
     verdict = PASS if states <= bound else FAIL
     return CheckRecord("state_count_bound", hyp, states, bound, verdict)
 
@@ -151,26 +145,14 @@ def check_alternating_equality(d: AnnularDiagram) -> CheckRecord:
     alternating diagrams of trivial mod-2 class."""
     p = profile(d)
     if not p.connected or not p.alternating or p.z2_class != 0:
-        return CheckRecord(
+        return _skip(
             "alternating_equality",
-            (
-                ("connected", p.connected),
-                ("alternating", p.alternating),
-                ("z2_class", p.z2_class),
-            ),
-            None,
-            None,
-            SKIP,
             "needs a connected alternating diagram of mod-2 class 0",
+            p, "connected", "alternating", "z2_class",
         )
     states = p.s_plus + p.s_minus
     target = p.n + 2 if p.in_disk else p.n
-    hyp: Hyp = (
-        ("connected", True),
-        ("alternating", True),
-        ("z2_class", 0),
-        ("in_disk", p.in_disk),
-    )
+    hyp = _hyp(p, "connected", "alternating", "z2_class", "in_disk")
     verdict = PASS if states == target else FAIL
     return CheckRecord("alternating_equality", hyp, states, target, verdict)
 
@@ -182,24 +164,13 @@ def check_breadth_theorem(d: AnnularDiagram) -> CheckRecord:
     simple-diagram equality)."""
     p = profile(d)
     if not p.connected or p.z2_class != 0:
-        return CheckRecord(
-            "breadth_theorem",
-            (("connected", p.connected), ("z2_class", p.z2_class)),
-            None,
-            None,
-            SKIP,
-            "needs a connected diagram of mod-2 class 0",
+        return _skip(
+            "breadth_theorem", "needs a connected diagram of mod-2 class 0", p, "connected", "z2_class"
         )
     fig2_free = not p.k_fig2  # None here means no crossings at all
     B = bracket_gray(d).breadth()
     cap = 4 * p.n + 4 if p.in_disk else 4 * p.n
-    hyp: Hyp = (
-        ("connected", True),
-        ("z2_class", 0),
-        ("in_disk", p.in_disk),
-        ("alternating", p.alternating),
-        ("fig2_free", fig2_free),
-    )
+    hyp = _hyp(p, "connected", "z2_class", "in_disk", "alternating") + (("fig2_free", fig2_free),)
     if B > cap:
         return CheckRecord("breadth_theorem", hyp, B, cap, FAIL, "upper bound exceeded")
     if p.alternating and fig2_free:
@@ -285,21 +256,12 @@ MAX_DUAL_ROUTE = 14  # both evaluators run, so cap the enumeration size
 
 
 def _check_vanishing(d: AnnularDiagram) -> CheckRecord:
-    z2 = profile(d).z2_class
-    if z2 != 1:
-        return CheckRecord(
-            "vanishing_bracket",
-            (("z2_class", z2),),
-            None,
-            None,
-            SKIP,
-            "needs mod-2 class 1",
-        )
+    p = profile(d)
+    if p.z2_class != 1:
+        return _skip("vanishing_bracket", "needs mod-2 class 1", p, "z2_class")
     poly = bracket_gray(d)
     verdict = PASS if poly.is_zero() else FAIL
-    return CheckRecord(
-        "vanishing_bracket", (("z2_class", 1),), str(poly), "0", verdict
-    )
+    return CheckRecord("vanishing_bracket", _hyp(p, "z2_class"), str(poly), "0", verdict)
 
 
 def _check_state_parity(d: AnnularDiagram) -> CheckRecord:
@@ -315,14 +277,10 @@ def _check_state_parity(d: AnnularDiagram) -> CheckRecord:
 
 
 def _check_dual_route(d: AnnularDiagram) -> CheckRecord:
-    if d.n > MAX_DUAL_ROUTE:
-        return CheckRecord(
-            "bracket_routes",
-            (("n", d.n),),
-            None,
-            None,
-            SKIP,
-            "plain enumeration capped at %d crossings here" % MAX_DUAL_ROUTE,
+    p = profile(d)
+    if p.n > MAX_DUAL_ROUTE:
+        return _skip(
+            "bracket_routes", "plain enumeration capped at %d crossings here" % MAX_DUAL_ROUTE, p, "n"
         )
     plain = bracket(d)
     gray = bracket_gray(d)
@@ -336,7 +294,7 @@ def _check_dual_route(d: AnnularDiagram) -> CheckRecord:
             key = min(k for k in hp.keys() | hg.keys() if hp.get(k) != hg.get(k))
             note = "histograms differ at %s: plain=%d gray=%d" % (key, hp.get(key, 0), hg.get(key, 0))
     verdict = PASS if plain == gray and not note else FAIL
-    return CheckRecord("bracket_routes", (("n", d.n),), str(plain), str(gray), verdict, note)
+    return CheckRecord("bracket_routes", _hyp(p, "n"), str(plain), str(gray), verdict, note)
 
 
 class VerificationReport(NamedTuple):

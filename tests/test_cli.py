@@ -187,8 +187,7 @@ class TestParserBuiltOnce:
 
     @staticmethod
     def fresh(argv):
-        args = cli._build_parser().parse_args(argv)
-        return args.func(args)
+        return cli._run(cli._build_parser().parse_args(argv))
 
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
         built = []
@@ -273,6 +272,26 @@ class TestBracket:
         )
         assert rc == EXIT_INPUT
         assert "orientation" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "one_crossing"],
+        ["props", "braid 2: -s1 -s1"],
+        ["verify", "braid 2: -s1 -s1"],
+        ["generate", "parallel-cores", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_mirror_is_for_bracket_only(capsys, monkeypatch, tmp_path, argv):
+    """`--mirror` mirrors the bracket rows only; every other subcommand
+    rejects it rather than print values of the unmirrored diagram."""
+    monkeypatch.chdir(tmp_path)  # generate would write here
+    rc, out, err = run(capsys, "--mirror", *argv)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err.splitlines() == ["--mirror applies to bracket only, not %s" % argv[0]]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestProps:
