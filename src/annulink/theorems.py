@@ -92,12 +92,12 @@ class LinkAssertions(NamedTuple):
     no_double_sphere_intersection: bool = False
 
     def items(self) -> Hyp:
-        return tuple(zip(self._fields, self))
+        return tuple([(f, getattr(self, f)) for f in self._fields])
 
 
 def _hyp(p: DiagramProfile, *fields: str) -> Hyp:
     """The named profile fields as hypotheses, in the order given."""
-    return tuple((f, getattr(p, f)) for f in fields)
+    return tuple([(f, getattr(p, f)) for f in fields])
 
 
 def _skip(check: str, note: str, p: DiagramProfile, *fields: str) -> CheckRecord:
@@ -131,7 +131,9 @@ def check_state_count_bound(d: AnnularDiagram) -> CheckRecord:
     p = profile(d)
     if not p.connected or p.z2_class != 0:
         return _skip(
-            "state_count_bound", "needs a connected diagram of mod-2 class 0", p, "connected", "z2_class"
+            "state_count_bound",
+            "needs a connected diagram of mod-2 class 0",
+            p, "connected", "z2_class",
         )
     states = p.s_plus + p.s_minus
     bound = p.n + 2 if p.in_disk else p.n
@@ -165,7 +167,9 @@ def check_breadth_theorem(d: AnnularDiagram) -> CheckRecord:
     p = profile(d)
     if not p.connected or p.z2_class != 0:
         return _skip(
-            "breadth_theorem", "needs a connected diagram of mod-2 class 0", p, "connected", "z2_class"
+            "breadth_theorem",
+            "needs a connected diagram of mod-2 class 0",
+            p, "connected", "z2_class",
         )
     fig2_free = not p.k_fig2  # None here means no crossings at all
     B = bracket_gray(d).breadth()
@@ -280,7 +284,9 @@ def _check_dual_route(d: AnnularDiagram) -> CheckRecord:
     p = profile(d)
     if p.n > MAX_DUAL_ROUTE:
         return _skip(
-            "bracket_routes", "plain enumeration capped at %d crossings here" % MAX_DUAL_ROUTE, p, "n"
+            "bracket_routes",
+            "plain enumeration capped at %d crossings here" % MAX_DUAL_ROUTE,
+            p, "n",
         )
     plain = bracket(d)
     gray = bracket_gray(d)
