@@ -9,7 +9,7 @@ Exit codes are frozen for scripting:
 
     0  success, all checks passed
     1  a check with met hypotheses failed
-    2  unreadable or unparsable input
+    2  unreadable or unparsable input, or --mirror outside bracket
     3  resource cap exceeded (crossing limit, or a coefficient too long to print)
 
 Output is deterministic: identical inputs, seeds and flags produce
@@ -357,9 +357,9 @@ _parser: Optional[argparse.ArgumentParser] = None
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run one parsed command.  The one place where an error becomes an
-    exit code: bad input exits 2 and a coefficient too long to print
-    exits 3, each with one line on stderr."""
+    """Run one parsed command.  Every input error exits 2 here and a
+    coefficient too long to print exits 3, each with one line on stderr;
+    only `bracket` also turns the crossing cap into exit 3."""
     try:
         if args.mirror and args.command != "bracket":
             raise DiagramFormatError(0, "--mirror applies to bracket only, not %s" % args.command)

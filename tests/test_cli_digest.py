@@ -22,7 +22,14 @@ from annulink.cli import main
 from annulink.generate import FAMILIES
 
 FORMATS = ("text", "structured")
-FORMS = (["validate"], ["props"], ["bracket", "--jones"], ["--mirror", "bracket", "--jones"], ["verify"])
+# (arguments before the diagram, arguments after it)
+FORMS = (
+    (["validate"], []),
+    (["props"], []),
+    (["bracket"], ["--jones"]),
+    (["--mirror", "bracket"], ["--jones"]),
+    (["verify"], []),
+)
 CAPPED = "braid 2: " + " ".join(["s1"] * 27)
 ERRORS = (
     ["validate", "broken.diag"],
@@ -50,10 +57,8 @@ DIGEST = "f2bb0c09c643c97e9d7db0a8987c2f90f2a891c348b9a31dedb86c3c589d91d8"
 def argv_list():
     out = []
     for name in corpus.names():
-        for form in FORMS:
+        for head, tail in FORMS:
             for fmt in FORMATS:
-                head = [arg for arg in form if arg != "--jones"]
-                tail = ["--jones"] if "--jones" in form else []
                 out.append(["--format", fmt] + head + [name] + tail)
     for fmt in FORMATS:
         out.append(["--format", fmt, "verify", "corpus"])
