@@ -256,7 +256,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _verify_target(t, flags)
         for t in (corpus_mod.names() if whole_corpus else [args.target])
     ]
-    pair_records = corpus_mod.verify_pairs() if whole_corpus else []
+    pair_records = (
+        corpus_mod.verify_pairs({report.name: d for report, d in checked}) if whole_corpus else []
+    )
     for report, _ in checked:
         _emit_records(report.name, report.records, report.lines(), args.format)
     _emit_records("pairs", pair_records, [rec.line() for rec in pair_records], args.format)

@@ -371,11 +371,20 @@ _PAIR_KINDS: Dict[str, Tuple[Callable[[AnnularDiagram], object], bool]] = {
 }
 
 
-def verify_pairs() -> List[CheckRecord]:
-    """Recheck the recorded relationships between entries."""
+def verify_pairs(built: Optional[Mapping[str, AnnularDiagram]] = None) -> List[CheckRecord]:
+    """Recheck the recorded relationships between entries.
+
+    ``built`` maps entry names to diagrams the caller has built already,
+    so their memoised brackets are reused; other entries are built here.
+    """
+    built = {} if built is None else built
+
+    def diagram(name: str) -> AnnularDiagram:
+        return built[name] if name in built else get(name).build()
+
     out: List[CheckRecord] = []
     for kind, a, b in PAIR_CHECKS:
         value, equal = _PAIR_KINDS[kind]
         hyp = (("pair", "%s/%s" % (a, b)),)
-        out.append(_compare(kind, hyp, value(get(a).build()), value(get(b).build()), equal))
+        out.append(_compare(kind, hyp, value(diagram(a)), value(diagram(b)), equal))
     return out

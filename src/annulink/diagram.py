@@ -95,7 +95,7 @@ class AnnularDiagram:
     ):
         self.crossings = {str(c): tuple(slots) for c, slots in crossings.items()}
         self.edge_parity = {str(e): int(p) for e, p in edge_parity.items()}
-        self.free_loops = tuple(int(p) for p in free_loops)
+        self.free_loops = tuple([int(p) for p in free_loops])
         self.external = (external[0], external[1])
         self._cache: Dict[str, object] = {}
 

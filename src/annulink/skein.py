@@ -28,18 +28,19 @@ crossings 1 .. n - 1 that relabels in place only the path a flip
 changed, counting each state with its twin, crossing 0 at ``-``, in
 closed form: a merge, a split or a reconnection (see `bracket_gray`).
 `bracket` enumerates them independently and is its oracle: the two
-must always agree and are never merged.  It leaves crossing n - 1 open
-and traces each smoothing of the others from scratch, which gives some
-closed circles and two open paths between the open crossing's slots;
-the path from slot 0 ends at slot 3 (``+`` closes the two paths into
-two circles, ``-`` joins them into one), at slot 1 (the reverse) or at
-slot 2 (both join them into one).  Plain closes its open crossing from
-traced path ends and Gray closes crossing 0 from live circle ids, so
-the routes share no step.  Each route memoises its histogram
-and its value on the diagram under keys of its own, so a diagram is
-evaluated at most once per route and neither route can read the
-other's result.  Both refuse diagrams with more than MAX_CROSSINGS
-crossings rather than start a hopeless enumeration.
+must always agree and are never merged.  It leaves crossings n - 2 and
+n - 1 open and traces each smoothing of the others from scratch, which
+gives some closed circles and four paths between the eight open slots.
+Smoothings whose paths join the same slots with the same parities are
+closed together, by one rule: trace the small graph of the paths and
+the open crossings' arcs for each of the four sign pairs.  Plain
+closes its open crossings from traced path ends and Gray closes
+crossing 0 from live circle ids, so the routes share no step.  Each
+route memoises its histogram and its value on the diagram under keys
+of its own, so a diagram is evaluated at most once per route and
+neither route can read the other's result.  Both refuse diagrams with
+more than MAX_CROSSINGS crossings rather than start a hopeless
+enumeration.
 """
 
 from __future__ import annotations
@@ -283,14 +284,16 @@ def _check_size(d: AnnularDiagram) -> None:
 def bracket(d: AnnularDiagram) -> LaurentPoly:
     """Reference bracket: resolve all 2^n smoothings from scratch.
 
-    Crossing n - 1 is left open and each smoothing of the others is
-    traced independently, giving closed circles and two open paths
-    whose ends decide how each sign of the open crossing closes them:
-    into two circles when the path from slot 0 ends at slot 3 (``+``)
-    or slot 1 (``-``), otherwise into one.  The only state shared
-    between iterations is a visit-stamp array, so this route has none
-    of the incremental bookkeeping `bracket_gray` relies on.  The value
-    is memoised on the diagram under this route's own key.
+    Crossings n - 2 and n - 1 are left open (with one crossing, that
+    one) and each smoothing of the others is traced independently,
+    giving closed circles and paths between the open slots.  Each
+    distinct set of path ends and parities is closed under each sign of
+    the open crossings by tracing the paths together with that sign's
+    arcs (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3).  The
+    only state shared between iterations is a visit-stamp array, so
+    this route has none of the incremental bookkeeping `bracket_gray`
+    relies on.  The value is memoised on the diagram under this route's
+    own key.
     """
     _check_size(d)
     return d._cached("bracket:plain", lambda: _assemble(_plain_histogram(d)))
@@ -302,42 +305,48 @@ def _plain_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 
 
 def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
-    """Histogram of smoothing invariants over all 2^n states: each of the
-    2^(n-1) smoothings of crossings 0 .. n-2 is traced from scratch, with
-    crossing n - 1 left open and then closed both ways (see `bracket`)."""
+    """Histogram of smoothing invariants over all 2^n states, with
+    crossings n - 2 and n - 1 left open (see `bracket`).
+
+    Each smoothing of crossings 0 .. n - 3 is traced from scratch into
+    closed circles and four paths whose ends are the eight open slots,
+    and counted under its signature: for each open slot, the slot at the
+    other end of its path and that path's parity, four bits a slot.
+    Each distinct signature is then closed all four ways by tracing the
+    small graph of its paths and the open crossings' arcs."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     n = d.n
-    free_triv = sum(1 for p in d.free_loops if p == 0)
+    free_triv = d.free_loops.count(0)
     free_ess = len(d.free_loops) - free_triv
     if n == 0:
         return {(0, free_triv, free_ess): 1}
-    last = 4 * (n - 1)  # the open crossing's slots are last .. last + 3
-    plus = [(h & ~3) | (3 - (h & 3)) for h in range(last)]
-    minus = [(h & ~3) | ((h & 3) ^ 1) for h in range(last)]
-    visited = [-1] * (last + 4)
-    hist: Dict[Tuple[int, int, int], int] = {}
-    for bits in range(1 << (n - 1)):
-        pars, ends = [], []
-        cur = last
-        for _ in (0, 1):  # the path from slot 0, then the other one
+    traced = n - min(n, 2)  # crossings 0 .. traced - 1; the rest stay open
+    base = 4 * traced  # open slot h is half-edge base + h
+    opens = 4 * n - base
+    visited = [-1] * (4 * n)
+    counts: Dict[Tuple[int, int, int, int], int] = {}
+    for bits in range(1 << traced):
+        sig = 0
+        for h0 in range(base, 4 * n):
+            if visited[h0] == bits:  # the far end of a path already traced
+                continue
             par = 0
+            cur = h0
             while True:
                 m = mate[cur]
                 visited[cur] = bits
                 visited[m] = bits
                 par ^= epar[cur]
-                if m >= last:
+                if m >= base:
                     break
-                cur = minus[m] if bits >> (m >> 2) & 1 else plus[m]
-            pars.append(par)
-            ends.append(m - last)
-            cur = last + 2 if m == last + 1 else last + 1
-        triv = free_triv
-        ess = free_ess
+                cur = m ^ 1 if bits >> (m >> 2) & 1 else m ^ 3
+            a, b = h0 - base, m - base
+            sig |= (b << 1 | par) << 4 * a | (a << 1 | par) << 4 * b
+        triv = ess = 0
         # every arc of either smoothing joins an even slot to an odd one, so
-        # every closed circle holds an even half-edge below last
-        for h0 in range(0, last, 2):
+        # every closed circle holds an even half-edge below base
+        for h0 in range(0, base, 2):
             if visited[h0] == bits:
                 continue
             par = 0
@@ -347,23 +356,46 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
                 visited[cur] = bits
                 visited[m] = bits
                 par ^= epar[cur]
-                cur = minus[m] if bits >> (m >> 2) & 1 else plus[m]
+                cur = m ^ 1 if bits >> (m >> 2) & 1 else m ^ 3
                 if cur == h0:
                     break
             if par:
                 ess += 1
             else:
                 triv += 1
-        pa, pb = pars
-        end = ends[0]
-        one = (triv + 1 - (pa ^ pb), ess + (pa ^ pb))  # the paths join
-        two = (triv + 2 - pa - pb, ess + pa + pb)  # each path closes
-        ssum = n - 2 * bits.bit_count()
-        for key in (
-            (ssum,) + (two if end == 3 else one),
-            (ssum - 2,) + (two if end == 1 else one),
-        ):
-            hist[key] = hist.get(key, 0) + 1
+        key = (bits.bit_count(), triv, ess, sig)
+        counts[key] = counts.get(key, 0) + 1
+    # (minus signs, trivial, essential) of each way to close a signature;
+    # bit c of `signs` puts open crossing c at -
+    closings: Dict[int, List[Tuple[int, int, int]]] = {}
+    hist: Dict[Tuple[int, int, int], int] = {}
+    for (pop, triv, ess, sig), count in counts.items():
+        if sig not in closings:
+            closings[sig] = []
+            for signs in range(1 << (n - traced)):
+                seen = [False] * opens
+                closed = [0, 0]  # circles of parity 0, 1
+                for a0 in range(opens):
+                    if seen[a0]:
+                        continue
+                    par = 0
+                    a = a0
+                    while True:  # along a path to b, then across b's arc
+                        b = sig >> 4 * a + 1 & 7
+                        par ^= sig >> 4 * a & 1
+                        seen[a] = seen[b] = True
+                        a = b ^ 1 if signs >> (b >> 2) & 1 else b ^ 3
+                        if a == a0:
+                            break
+                    closed[par] += 1
+                closings[sig].append((signs.bit_count(), closed[0], closed[1]))
+        for pop_open, triv_open, ess_open in closings[sig]:
+            key = (
+                n - 2 * (pop + pop_open),
+                triv + triv_open + free_triv,
+                ess + ess_open + free_ess,
+            )
+            hist[key] = hist.get(key, 0) + count
     return hist
 
 

@@ -3,7 +3,7 @@ flags exactly the one entry whose recorded values are inconsistent."""
 
 import pytest
 
-from annulink import skein
+from annulink import cli, skein
 from annulink.corpus import (
     ENTRIES,
     PAIR_CHECKS,
@@ -68,6 +68,25 @@ class TestVerification:
         assert all(r.verdict != FAIL for r in records), [
             r.line() for r in records
         ]
+
+    def test_pairs_reuse_diagrams_built_by_the_caller(self, monkeypatch):
+        names = sorted({name for _, a, b in PAIR_CHECKS for name in (a, b)})
+        built = {name: entry(name).build() for name in names}
+        before = [r.line() for r in verify_pairs(built)]
+        gray = []
+        traced = skein._gray_states
+        monkeypatch.setattr(skein, "_gray_states", lambda d: gray.append(d) or traced(d))
+        monkeypatch.setattr(CorpusEntry, "build", lambda self: pytest.fail("rebuilt " + self.name))
+        assert [r.line() for r in verify_pairs(built)] == before
+        assert gray == []
+
+    def test_verify_corpus_builds_each_entry_once(self, monkeypatch, capsys):
+        builds = []
+        original = CorpusEntry.build
+        monkeypatch.setattr(CorpusEntry, "build", lambda self: builds.append(self.name) or original(self))
+        cli.main(["verify", "corpus"])
+        capsys.readouterr()
+        assert sorted(builds) == sorted(ENTRIES)
 
     def test_recorded_values_read_the_production_route(self, monkeypatch):
         # the plain enumeration is the Gray route's oracle; outside the

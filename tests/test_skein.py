@@ -193,9 +193,46 @@ def resolved_histogram(d):
     return hist
 
 
+def open_paths(d):
+    """Every path (start, end, parity) between open slots, numbered from
+    4(n - 2), that some smoothing of crossings 0 .. n - 3 gives."""
+    t = d.half_edges()
+    base = 4 * (d.n - 2)
+    paths = set()
+    for signs in itertools.product((1, -1), repeat=d.n - 2):
+        for h0 in range(base, 4 * d.n):
+            par, cur = 0, h0
+            while True:
+                m = t.mate[cur]
+                par ^= t.epar[cur]
+                if m >= base:
+                    break
+                cur = m ^ 3 if signs[m >> 2] > 0 else m ^ 1
+            paths.add((h0 - base, m - base, par))
+    return paths
+
+
+def shares_a_circle(d):
+    """Whether some smoothing has a circle through both open crossings."""
+    last = 4 * (d.n - 1)
+    for signs in itertools.product((1, -1), repeat=d.n):
+        ident = skein._label_circles(d, signs)[0]
+        if set(ident[last - 4 : last]) & set(ident[last:]):
+            return True
+    return False
+
+
+def crossing_at(d, cid, index):
+    """``d`` with crossing ``cid`` moved to ``index`` in the crossing order."""
+    order = [c for c in d.crossings if c != cid]
+    order.insert(index, cid)
+    return AnnularDiagram({c: d.crossings[c] for c in order}, d.edge_parity, d.free_loops, d.external)
+
+
 class TestPlainOpenCrossing:
-    """The plain route, which leaves crossing n - 1 open and closes it both
-    ways, against a third evaluator: `resolve` on every smoothing."""
+    """The plain route, which leaves crossings n - 2 and n - 1 open and
+    closes them all four ways, against a third evaluator: `resolve` on
+    every smoothing."""
 
     @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
     def test_random_diagrams(self, kind):
@@ -217,28 +254,69 @@ class TestPlainOpenCrossing:
         assert d.n == 1
         assert skein._plain_states(d) == resolved_histogram(d) == {(1, 0, 2): 1, (-1, 1, 0): 1}
 
+    @pytest.mark.parametrize("word", ([1, 1], [1, -1], [-1, -1]))
+    def test_two_crossings_none_traced(self, word):
+        # every path is one edge, and two of them run straight between the
+        # open crossings; odd ones cross the cut
+        d = closure(word, 2)
+        assert d.n == 2
+        paths = open_paths(d)
+        assert any(a < 4 <= b and par for a, b, par in paths)
+        assert skein._plain_states(d) == resolved_histogram(d)
+        loops = AnnularDiagram(d.crossings, d.edge_parity, (1, 0), d.external)
+        assert skein._plain_states(loops) == resolved_histogram(loops)
+
     @pytest.mark.parametrize("sign", (1, -1))
     def test_kink_on_the_open_crossing(self, sign):
-        # insert_r1 adds the kink last; its loop joins slots 3-0 (+) or 0-1 (-),
-        # so the path from slot 0 ends at once, on slot 3 or slot 1
+        # insert_r1 adds the kink last; its loop joins slots 3-0 (+) or 0-1
+        # (-), so the path from its slot 0 ends at once, on slot 3 or slot 1
         base = closure([1, -2, 1, 2], 3)
         d = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
         last = 4 * (d.n - 1)
         assert d.half_edges().mate[last] == last + (3 if sign > 0 else 1)
         assert skein._plain_states(d) == resolved_histogram(d)
 
-    def test_open_path_ending_at_slot_2(self):
-        # not planar: opposite slots of the open crossing are joined
-        virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
-        assert virtual.half_edges().mate[0] == 2
-        assert skein._plain_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
-        # through x0: its + smoothing sends the path from x1 slot 0 to slot 3,
-        # its - smoothing to slot 2
-        d = AnnularDiagram(
-            {"x0": ("a", "b", "c", "d"), "x1": ("c", "a", "d", "b")},
-            {"a": 1, "b": 0, "c": 1, "d": 0},
-        )
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_kink_on_the_first_open_crossing(self, sign):
+        base = closure([1, -2, 1, 2], 3)
+        kinked = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
+        (kink,) = set(kinked.crossings) - set(base.crossings)
+        d = crossing_at(kinked, kink, kinked.n - 2)
+        first = 4 * (d.n - 2)
+        assert d.half_edges().mate[first] == first + (3 if sign > 0 else 1)
         assert skein._plain_states(d) == resolved_histogram(d)
+
+    def test_r2_pair_as_the_open_crossings(self):
+        # insert_r2 appends its two crossings, joined by two edges: both
+        # are paths that run straight from one open crossing to the other
+        base = closure([1, 2, -1, 2], 3)
+        face_edges = ({base.crossings[c][k] for c, k in f} for f in base.trace_faces())
+        e1, e2 = sorted(next(e for e in face_edges if len(e) >= 2))[:2]
+        d = insert_r2(base, e1, e2)
+        t = d.half_edges()
+        assert t.order[:-2] == list(base.crossings)
+        last = 4 * (d.n - 1)
+        assert sum(1 for h in range(last - 4, last) if t.mate[h] >= last) == 2
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+    def test_open_crossings_on_one_circle(self):
+        d = closure([1, 1, 1, -2, 1, -2], 3)
+        assert shares_a_circle(d)
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+    def test_open_path_ending_at_slot_2(self):
+        # not planar: x1's path from slot 0 runs through x0 and, at x0's -
+        # smoothing, comes back at x1's slot 2; x2 joins its opposite slots
+        # by edges of its own
+        d = AnnularDiagram(
+            {"x0": ("a", "b", "c", "d"), "x1": ("c", "a", "d", "b"), "x2": ("e", "f", "e", "f")},
+            {"a": 1, "b": 0, "c": 1, "d": 0, "e": 1, "f": 0},
+        )
+        paths = open_paths(d)
+        assert (0, 2, 1) in paths and (4, 6, 1) in paths
+        assert skein._plain_states(d) == resolved_histogram(d)
+        virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
+        assert skein._plain_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
 
 
 def twin_cases(d):
@@ -263,12 +341,6 @@ def twin_cases(d):
             cur = m ^ 3 if signs[m >> 2] > 0 else m ^ 1
         cases.add((m, par))
     return cases
-
-
-def first_crossing(d, cid):
-    """``d`` with crossing ``cid`` moved to the front of the crossing order."""
-    crossings = {cid: d.crossings[cid], **d.crossings}
-    return AnnularDiagram(crossings, d.edge_parity, d.free_loops, d.external)
 
 
 class TestGrayOpenCrossing:
@@ -304,7 +376,7 @@ class TestGrayOpenCrossing:
         base = closure([1, -2, 1, 2], 3)
         kinked = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
         (kink,) = set(kinked.crossings) - set(base.crossings)
-        d = first_crossing(kinked, kink)
+        d = crossing_at(kinked, kink, 0)
         assert d.half_edges().order[0] == kink
         assert twin_cases(d) == ({("merge", None)} if sign > 0 else {(1, 0)})
         assert skein._gray_states(d) == resolved_histogram(d)

@@ -1,5 +1,6 @@
 """The measuring scripts under tools/ run against the source tree."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -23,3 +24,56 @@ def test_states_prints_us_per_state_of_both_enumerators():
     assert list(result) == ["zigzag n=6"]
     assert sorted(result["zigzag n=6"]) == ["gray", "plain"]
     assert all(us > 0 for us in result["zigzag n=6"].values())
+
+
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(ops, tail, correct=True, failed=0):
+    metrics = {"ops_per_s": {"value": ops}, "op_tail_ms": {"value": tail}}
+    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+MANIFEST = {
+    "end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_tail_ms", "better": "lower", "bound": 0.25},
+    ],
+    "per_layer": [],
+}
+
+
+def rows(runs):
+    lines = load_pairs().summary(runs, MANIFEST)
+    return {line.split()[0]: line for line in lines[1:]}
+
+
+def test_pairs_summary_marks_each_bound_and_counts_wins():
+    # at the bound on both metrics: 75 ops/s against 100, 5 ms against 4
+    at = rows([{"parent": run(100, 4), "change": run(75, 5)}] * 2)
+    assert at["ops_per_s"].split()[-2:] == ["ok", "(25%)"]
+    assert at["op_tail_ms"].split()[-2:] == ["ok", "(25%)"]
+    past = rows([{"parent": run(100, 4), "change": run(74.9, 5.01)}] * 2)
+    assert past["ops_per_s"].split()[-2] == "OVER"
+    assert past["op_tail_ms"].split()[-2] == "OVER"
+    # the change wins where it is faster, and where its tail is shorter
+    mixed = rows([
+        {"parent": run(100, 4), "change": run(120, 5)},
+        {"parent": run(100, 4), "change": run(90, 3)},
+        {"parent": run(100, 4), "change": run(110, 3)},
+    ])
+    assert "2/3" in mixed["ops_per_s"].split()
+    assert "2/3" in mixed["op_tail_ms"].split()
+
+
+def test_pairs_summary_counts_correct_runs_and_failed_ops():
+    lines = rows([
+        {"parent": run(100, 4), "change": run(120, 3, correct=False, failed=3)},
+        {"parent": run(100, 4), "change": run(120, 3)},
+    ])
+    assert lines["parent"] == "parent correct 2/2 runs, failed 0/200 ops"
+    assert lines["change"] == "change correct 1/2 runs, failed 3/200 ops"

@@ -13,8 +13,9 @@ at the end, per metric, come the two medians,
 the change/parent ratio, how many pairs the change won and the parent's
 interquartile range.  Each end-to-end metric of ``BENCHMARK.json`` is
 marked ``ok`` when the change's median is no worse than the parent's by
-more than its bound, else ``OVER``.  ``--out`` writes every run to a
-JSON file.
+more than its bound, else ``OVER``.  A last line per side counts its
+correct runs and its failed ops out of those attempted.  ``--out``
+writes every run to a JSON file.
 """
 
 import argparse
@@ -53,7 +54,8 @@ def quartiles(values: List[float]) -> List[float]:
 
 
 def summary(runs: List[dict], manifest: dict) -> List[str]:
-    """One line per metric: medians, ratio, pairs won, parent IQR, bound."""
+    """One line per metric: medians, ratio, pairs won, parent IQR, bound;
+    then one line per side: correct runs, and failed out of attempted ops."""
     bounds = {m["name"]: m for m in manifest["end_to_end"]}
     better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
     lines = ["metric               parent       change   ratio   won parent IQR  bound"]
@@ -72,6 +74,11 @@ def summary(runs: List[dict], manifest: dict) -> List[str]:
         ratio = mc / mb if mb else float("nan")
         lines.append("%-14s %12.6g %12.6g %7.3f %2d/%-2d %10.4g  %s"
                      % (name, mb, mc, ratio, won, len(runs), q3 - q1, verdict))
+    for who in ("parent", "change"):
+        sides = [r[who] for r in runs]
+        lines.append("%-6s correct %d/%d runs, failed %d/%d ops" % (
+            who, sum(1 for s in sides if s["correct"]), len(sides),
+            sum(s["failed"] for s in sides), sum(s["attempted"] for s in sides)))
     return lines
 
 
