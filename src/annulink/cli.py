@@ -1,9 +1,9 @@
 """Command line front end.
 
 Five subcommands over one shared input convention: a diagram argument
-is a file path, a corpus entry name, or an inline builder recipe such
-as "braid 2: s1".  The verify subcommand also accepts the literal word
-"corpus" to recheck every bundled entry.
+is an existing file, else a corpus entry name, else an inline builder
+recipe such as "braid 2: s1".  The verify subcommand also accepts the
+literal word "corpus" to recheck every bundled entry.
 
 Exit codes are frozen for scripting:
 
@@ -50,7 +50,6 @@ from .theorems import (
     SKIP,
     CheckRecord,
     LinkAssertions,
-    VerificationReport,
     verify_all,
 )
 
@@ -105,8 +104,12 @@ def _emit_records(
         _emit(line)
 
 
-def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
-    """Resolve a diagram argument to (display name, diagram).
+def _load_target(
+    arg: str, checked: bool = True
+) -> Tuple[str, AnnularDiagram, Optional[corpus_mod.CorpusEntry]]:
+    """Resolve a diagram argument to (display name, diagram, corpus
+    entry or None): an existing file first, then a corpus entry name,
+    then a recipe.
 
     Every argument that gives no diagram raises DiagramFormatError: a
     path that cannot be read or is not UTF-8 text, and a recipe or file
@@ -116,11 +119,13 @@ def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
     or odd cut parities around a face; O(n) from the diagram's
     half-edge table): a pd recipe can name any gluing."""
     try:
+        entry = None
         if os.path.exists(arg):
             d, _meta = load_diagram(arg)
             name = os.path.basename(arg)
         elif arg in corpus_mod.ENTRIES:
-            name, d = arg, corpus_mod.get(arg).build()
+            entry = corpus_mod.get(arg)
+            name, d = arg, entry.build()
         elif is_recipe(arg):
             name, d = "recipe", parse_recipe(arg)
         else:
@@ -143,7 +148,7 @@ def _load_target(arg: str, checked: bool = True) -> Tuple[str, AnnularDiagram]:
     if bad:
         more = " (%d violations; validate lists them)" % len(bad) if len(bad) > 1 else ""
         raise DiagramFormatError(0, "%s: %s%s" % (name, bad[0], more))
-    return name, d
+    return name, d, entry
 
 
 def _parse_orientation(text: Optional[str]) -> Optional[List[int]]:
@@ -160,7 +165,7 @@ def _parse_orientation(text: Optional[str]) -> Optional[List[int]]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    name, d = _load_target(args.diagram, checked=False)
+    name, d, _ = _load_target(args.diagram, checked=False)
     violations = d.validate()
     if not violations:
         if args.format == "structured":
@@ -179,7 +184,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    name, d = _load_target(args.diagram)
+    name, d, _ = _load_target(args.diagram)
     orientation = _parse_orientation(args.orientation)
     try:
         poly = bracket_gray(d)
@@ -202,7 +207,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_props(args: argparse.Namespace) -> int:
-    name, d = _load_target(args.diagram)
+    name, d, _ = _load_target(args.diagram)
     record = profile(d).as_record()
     record["components"] = d.component_count()
     _emit_rows(name, [(k, _fmt_value(v)) for k, v in record.items()], args.format)
@@ -236,25 +241,17 @@ def _dump_diagnostic(name: str, d: AnnularDiagram, failures: Sequence[CheckRecor
         _emit("  failed %s: left=%s right=%s" % (rec.check, rec.left, rec.right))
 
 
-def _verify_target(
-    target: str, flags: LinkAssertions
-) -> Tuple[VerificationReport, AnnularDiagram]:
-    """Check one corpus entry (recorded values first) or one loaded
-    diagram; return the report together with the diagram it checked."""
-    if target in corpus_mod.ENTRIES:
-        entry = corpus_mod.get(target)
-        d = entry.build()
-        return corpus_mod.verify_entry(entry, d, flags), d
-    name, d = _load_target(target)
-    return verify_all(d, flags, name=name), d
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     whole_corpus = args.target == "corpus"
     flags = _assumptions(args)
+    if whole_corpus:  # the bundled entries, whatever files share their names
+        entries = [corpus_mod.get(name) for name in corpus_mod.names()]
+        targets = [(entry.name, entry.build(), entry) for entry in entries]
+    else:
+        targets = [_load_target(args.target)]
     checked = [
-        _verify_target(t, flags)
-        for t in (corpus_mod.names() if whole_corpus else [args.target])
+        (corpus_mod.verify_entry(entry, d, flags) if entry else verify_all(d, flags, name=name), d)
+        for name, d, entry in targets
     ]
     pair_records = (
         corpus_mod.verify_pairs({report.name: d for report, d in checked}) if whole_corpus else []

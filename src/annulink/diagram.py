@@ -52,7 +52,6 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 __all__ = [
     "UNBOUNDED",
     "AnnularDiagram",
-    "components",
     "from_free_loops",
     "from_braid_closure",
     "from_disk_pd",
@@ -372,15 +371,6 @@ def _build_half_edges(d: AnnularDiagram) -> HalfEdges:
     )
 
 
-def components(d: AnnularDiagram) -> List[list]:
-    """Link components: each strand walk as a list of arrival darts,
-    then one ``[("free_loop", i)]`` singleton per free loop."""
-    out: List[list] = [list(w) for w in d.strand_walks()]
-    for i in range(len(d.free_loops)):
-        out.append([("free_loop", i)])
-    return out
-
-
 # -- builders ------------------------------------------------------------
 
 
@@ -473,16 +463,13 @@ def from_braid_closure(word: Sequence[int], strands: int, *, disk: bool = False)
     return AnnularDiagram(crossings, parity, loops, external)
 
 
-def from_disk_pd(
-    pd: Sequence[Sequence[int]], outer: Corner | None = None
-) -> AnnularDiagram:
+def from_disk_pd(pd: Sequence[Sequence[int]]) -> AnnularDiagram:
     """Build a classical diagram in a disk from a planar-diagram code.
 
     Each entry lists the four edge labels around a crossing counter-
     clockwise starting from the incoming under-strand, which matches the
     slot convention directly.  All cut parities are 0 and both external
-    markers name the chosen outer face (by default the face at corner 0
-    of the first crossing).
+    markers name the face at corner 0 of the first crossing.
     """
     crossings: Dict[str, Tuple[str, str, str, str]] = {}
     parity: Dict[str, int] = {}
@@ -495,7 +482,7 @@ def from_disk_pd(
             parity[eid] = 0
     if not crossings:
         return from_free_loops(())
-    ref: Corner = outer if outer is not None else ("x1", 0)
+    ref = ("x1", 0)
     return AnnularDiagram(crossings, parity, (), (ref, ref))
 
 

@@ -55,7 +55,6 @@ def alternating_braid_closures(
     seed: int,
     strands_options: Sequence[int] = (2, 4),
     max_length: int = 12,
-    disk: bool = False,
 ) -> List[AnnularDiagram]:
     """Random alternating closures; even strand counts keep the mod-2
     class trivial."""
@@ -64,9 +63,7 @@ def alternating_braid_closures(
     for _ in range(count):
         strands = rng.choice(list(strands_options))
         length = rng.randint(1, max_length)
-        out.append(
-            from_braid_closure(alternating_word(rng, strands, length), strands, disk=disk)
-        )
+        out.append(from_braid_closure(alternating_word(rng, strands, length), strands))
     return out
 
 
@@ -75,7 +72,6 @@ def random_braid_closures(
     seed: int,
     strands_options: Sequence[int] = (2, 3, 4, 5),
     max_length: int = 12,
-    disk: bool = False,
 ) -> List[AnnularDiagram]:
     """Random-sign closures, no structural guarantees beyond validity."""
     rng = random.Random(seed)
@@ -86,7 +82,7 @@ def random_braid_closures(
         word = [
             rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
         ]
-        out.append(from_braid_closure(word, strands, disk=disk))
+        out.append(from_braid_closure(word, strands))
     return out
 
 
@@ -176,9 +172,12 @@ FAMILIES = tuple(_BUILDERS)
 
 
 def generate_family(family: str, size: int, seed: int) -> List[AnnularDiagram]:
-    """Dispatch by family name (the command-line entry point)."""
+    """Dispatch by family name (the command-line entry point).  Raises
+    ValueError for an unknown family or a negative size."""
     if family not in _BUILDERS:
         raise ValueError(
             "unknown family %r (want one of %s)" % (family, ", ".join(FAMILIES))
         )
+    if size < 0:
+        raise ValueError("size must be >= 0, not %d" % size)
     return _BUILDERS[family](size, seed)

@@ -285,8 +285,9 @@ def bracket(d: AnnularDiagram) -> LaurentPoly:
     """Reference bracket: resolve all 2^n smoothings from scratch.
 
     Crossings n - 2 and n - 1 are left open (with one crossing, that
-    one) and each smoothing of the others is traced independently,
-    giving closed circles and paths between the open slots.  Each
+    one; with none, the one empty smoothing) and each smoothing of the
+    others is traced independently by one loop, which ends a trace at
+    an open slot (a path) or back at its start (a closed circle).  Each
     distinct set of path ends and parities is closed under each sign of
     the open crossings by tracing the paths together with that sign's
     arcs (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3).  The
@@ -308,9 +309,16 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     """Histogram of smoothing invariants over all 2^n states, with
     crossings n - 2 and n - 1 left open (see `bracket`).
 
-    Each smoothing of crossings 0 .. n - 3 is traced from scratch into
-    closed circles and four paths whose ends are the eight open slots,
-    and counted under its signature: for each open slot, the slot at the
+    Each smoothing of crossings 0 .. n - 3 is traced from scratch by one
+    loop over the start half-edges: the open slots, then the even
+    half-edges below the first open slot (every arc of either smoothing
+    joins an even slot to an odd one, so every closed circle holds one).
+    A trace stops at an open slot, which ends a path, or back at its
+    start, which closes a circle.  The open slots come first so that
+    every half-edge on a path is marked before the circle starts are
+    scanned: a circle start on an unmarked path would stop at that
+    path's open end and count half a path as a circle.  Each smoothing
+    is counted under its signature: for each open slot, the slot at the
     other end of its path and that path's parity, four bits a slot.
     Each distinct signature is then closed all four ways by tracing the
     small graph of its paths and the open crossings' arcs."""
@@ -319,17 +327,16 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     n = d.n
     free_triv = d.free_loops.count(0)
     free_ess = len(d.free_loops) - free_triv
-    if n == 0:
-        return {(0, free_triv, free_ess): 1}
     traced = n - min(n, 2)  # crossings 0 .. traced - 1; the rest stay open
     base = 4 * traced  # open slot h is half-edge base + h
     opens = 4 * n - base
+    starts = list(range(base, 4 * n)) + list(range(0, base, 2))
     visited = [-1] * (4 * n)
     counts: Dict[Tuple[int, int, int, int], int] = {}
     for bits in range(1 << traced):
-        sig = 0
-        for h0 in range(base, 4 * n):
-            if visited[h0] == bits:  # the far end of a path already traced
+        sig = triv = ess = 0
+        for h0 in starts:
+            if visited[h0] == bits:  # on a path or circle already traced
                 continue
             par = 0
             cur = h0
@@ -341,25 +348,12 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
                 if m >= base:
                     break
                 cur = m ^ 1 if bits >> (m >> 2) & 1 else m ^ 3
-            a, b = h0 - base, m - base
-            sig |= (b << 1 | par) << 4 * a | (a << 1 | par) << 4 * b
-        triv = ess = 0
-        # every arc of either smoothing joins an even slot to an odd one, so
-        # every closed circle holds an even half-edge below base
-        for h0 in range(0, base, 2):
-            if visited[h0] == bits:
-                continue
-            par = 0
-            cur = h0
-            while True:
-                m = mate[cur]
-                visited[cur] = bits
-                visited[m] = bits
-                par ^= epar[cur]
-                cur = m ^ 1 if bits >> (m >> 2) & 1 else m ^ 3
                 if cur == h0:
                     break
-            if par:
+            if h0 >= base:
+                a, b = h0 - base, m - base
+                sig |= (b << 1 | par) << 4 * a | (a << 1 | par) << 4 * b
+            elif par:
                 ess += 1
             else:
                 triv += 1

@@ -394,6 +394,30 @@ class TestVerify:
         assert len(checked) == 1 and len(dumped) == 1
         assert dumped[0] is checked[0]
 
+    def test_file_named_like_an_entry_is_read_as_props_reads_it(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # a file comes before a corpus entry of the same name, for verify
+        # as for every subcommand; `verify corpus` checks the bundled entries
+        monkeypatch.chdir(tmp_path)
+        trefoil = from_braid_closure([1, 1, 1], 2, disk=True)
+        save_diagram("unknot", trefoil)
+        _, props, _ = run(capsys, "props", "unknot")
+        assert "n = 3" in props.splitlines()
+        rc, out, _ = run(capsys, "--format", "structured", "verify", "unknot")
+        assert rc == EXIT_OK
+        assert "expected_" not in out
+        poly = skein.bracket_gray(trefoil)
+        routes = "entry=unknot check=bracket_routes verdict=pass left=%s right=%s" % (poly, poly)
+        assert routes in out.splitlines()
+        rc, out, _ = run(capsys, "--format", "structured", "verify", "corpus")
+        lines = out.splitlines()
+        assert rc == EXIT_CHECK
+        assert lines[-1] == "entries=21 pairs=4 status=failed"
+        assert "entry=unknot check=expected_n verdict=pass left=0 right=0" in lines
+        unknot = "left=-A^2 - A^-2 right=-A^2 - A^-2"
+        assert "entry=unknot check=expected_bracket verdict=pass " + unknot in lines
+
     def test_recipe_with_assumptions(self, capsys):
         rc, out, _ = run(
             capsys, "verify", "braid 2: s1", "--assume", "non_h_split"
@@ -454,6 +478,16 @@ class TestGenerate:
         assert meta["family"] == "alternating-braid-closures"
         assert meta["seed"] == "6"
         assert meta["index"] == "0"
+
+    @pytest.mark.parametrize(
+        "family, size", [("parallel-cores", "-3"), ("r-move-perturbations", "-1")]
+    )
+    def test_negative_size(self, capsys, tmp_path, family, size):
+        out_dir = tmp_path / "out"
+        rc, out, err = run(capsys, "generate", family, size, "--out", str(out_dir))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "size must be >= 0, not %s\n" % size
+        assert not out_dir.exists()
 
     def test_unknown_family(self, capsys, tmp_path):
         rc, _, err = run(

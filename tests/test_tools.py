@@ -70,6 +70,19 @@ def test_pairs_summary_marks_each_bound_and_counts_wins():
     assert "2/3" in mixed["op_tail_ms"].split()
 
 
+def test_pairs_summary_marks_a_metric_unresolved_past_the_parents_spread():
+    # parent ops/s 60, 80, 120, 140: an IQR of 50 against 25% of 100
+    parents = (60, 80, 120, 140)
+    wide = rows([{"parent": run(ops, 4), "change": run(100, 4)} for ops in parents])
+    assert wide["ops_per_s"].split()[-2:] == ["unresolved", "(25%)"]
+    assert wide["op_tail_ms"].split()[-2] == "ok"
+    slower = rows([{"parent": run(ops, 4), "change": run(50, 4)} for ops in parents])
+    assert slower["ops_per_s"].split()[-2] == "unresolved"
+    # every run of the change beats every run of the parent
+    clear = rows([{"parent": run(ops, 4), "change": run(141, 4)} for ops in parents])
+    assert clear["ops_per_s"].split()[-2] == "ok"
+
+
 def test_pairs_summary_counts_correct_runs_and_failed_ops():
     lines = rows([
         {"parent": run(100, 4), "change": run(120, 3, correct=False, failed=3)},

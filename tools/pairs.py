@@ -13,9 +13,12 @@ at the end, per metric, come the two medians,
 the change/parent ratio, how many pairs the change won and the parent's
 interquartile range.  Each end-to-end metric of ``BENCHMARK.json`` is
 marked ``ok`` when the change's median is no worse than the parent's by
-more than its bound, else ``OVER``.  A last line per side counts its
-correct runs and its failed ops out of those attempted.  ``--out``
-writes every run to a JSON file.
+more than its bound, else ``OVER``; but ``unresolved`` when the parent's
+interquartile range exceeds the bound times the parent's median, since
+a spread that wide cannot tell a change within the bound from one past
+it, unless every run of the change beats every run of the parent.  A
+last line per side counts its correct runs and its failed ops out of
+those attempted.  ``--out`` writes every run to a JSON file.
 """
 
 import argparse
@@ -70,7 +73,12 @@ def summary(runs: List[dict], manifest: dict) -> List[str]:
         if name in bounds:
             limit = bounds[name]["bound"]
             ok = mc >= mb * (1 - limit) if sign > 0 else mc <= mb * (1 + limit)
-            verdict = "%s (%.0f%%)" % ("ok" if ok else "OVER", 100 * limit)
+            clear = min(sign * c for c in new) > max(sign * b for b in base)
+            if q3 - q1 > limit * mb and not clear:
+                word = "unresolved"
+            else:
+                word = "ok" if ok else "OVER"
+            verdict = "%s (%.0f%%)" % (word, 100 * limit)
         ratio = mc / mb if mb else float("nan")
         lines.append("%-14s %12.6g %12.6g %7.3f %2d/%-2d %10.4g  %s"
                      % (name, mb, mc, ratio, won, len(runs), q3 - q1, verdict))
