@@ -9,7 +9,8 @@ Exit codes are frozen for scripting:
 
     0  success, all checks passed
     1  a check with met hypotheses failed
-    2  unreadable or unparsable input, or --mirror outside bracket
+    2  unreadable or unparsable input, --mirror outside bracket, or
+       --orientation without --jones
     3  resource cap exceeded (crossing limit, or a coefficient too long to print)
 
 Output is deterministic: identical inputs, seeds and flags produce
@@ -184,6 +185,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
+    if args.orientation is not None and not args.jones:  # only the jones row reads it
+        raise DiagramFormatError(0, "--orientation applies to bracket --jones only")
     name, d, _ = _load_target(args.diagram)
     orientation = _parse_orientation(args.orientation)
     try:
@@ -326,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--orientation",
         default=None,
-        help="comma-separated 1/-1 per component, walks first then loops",
+        help="with --jones: comma-separated 1/-1 per component, walks first then loops",
     )
     p.set_defaults(func=cmd_bracket)
 

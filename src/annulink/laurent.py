@@ -157,6 +157,10 @@ class LaurentPoly:
             return 0
         return max(self._terms) - min(self._terms)
 
+    def items(self) -> Iterable[Tuple[int, int]]:
+        """(exponent, coefficient) pairs, in no particular order."""
+        return self._terms.items()
+
     def to_pairs(self) -> List[Tuple[int, int]]:
         """Structured form: (exponent, coefficient) sorted descending."""
         return sorted(self._terms.items(), key=lambda p: -p[0])

@@ -28,19 +28,22 @@ crossings 1 .. n - 1 that relabels in place only the path a flip
 changed, counting each state with its twin, crossing 0 at ``-``, in
 closed form: a merge, a split or a reconnection (see `bracket_gray`).
 `bracket` enumerates them independently and is its oracle: the two
-must always agree and are never merged.  It leaves crossings n - 2 and
-n - 1 open and traces each smoothing of the others from scratch, which
-gives some closed circles and four paths between the eight open slots.
+must always agree and are never merged.  It leaves the last K
+crossings open, K = 1 below n = 6, 2 at n = 6-7 and 3 from n = 8
+(`_open_count`), and traces each smoothing of the others from scratch,
+which gives some closed circles and 2K paths between the 4K open slots.
 Smoothings whose paths join the same slots with the same parities are
 closed together, by one rule: trace the small graph of the paths and
-the open crossings' arcs for each of the four sign pairs.  Plain
-closes its open crossings from traced path ends and Gray closes
-crossing 0 from live circle ids, so the routes share no step.  Each
-route memoises its histogram and its value on the diagram under keys
-of its own, so a diagram is evaluated at most once per route and
-neither route can read the other's result.  Both refuse diagrams with
-more than MAX_CROSSINGS crossings rather than start a hopeless
-enumeration.
+the open crossings' arcs for each of the 2^K sign choices.  Each open
+crossing halves the smoothings traced and doubles the closings per
+distinct signature, so K grows with n; the measured break-evens lie
+near n = 6 and n = 8.  Plain closes its open crossings from traced
+path ends and Gray closes crossing 0 from live circle ids, so the
+routes share no step.  Each route memoises its histogram and its value
+on the diagram under keys of its own, so a diagram is evaluated at
+most once per route and neither route can read the other's result.
+Both refuse diagrams with more than MAX_CROSSINGS crossings rather
+than start a hopeless enumeration.
 """
 
 from __future__ import annotations
@@ -262,14 +265,21 @@ def state_circles(
 
 
 def _assemble(hist: Dict[Tuple[int, int, int], int]) -> LaurentPoly:
-    coeffs: Dict[int, int] = {}
+    """The bracket of a state histogram: the weights alpha(ess) * count
+    are summed per trivial count and exponent sum, and each such row is
+    multiplied by delta^trivial once."""
+    rows: Dict[int, Dict[int, int]] = {}
     for (ssum, triv, ess), count in hist.items():
         a = alpha(ess)
-        if a == 0:
-            continue
-        for exp, c in delta_power(triv).to_pairs():
-            e = exp + ssum
-            coeffs[e] = coeffs.get(e, 0) + c * a * count
+        if a:
+            row = rows.setdefault(triv, {})
+            row[ssum] = row.get(ssum, 0) + a * count
+    coeffs: Dict[int, int] = {}
+    for triv, row in rows.items():
+        for exp, c in delta_power(triv).items():
+            for ssum, weight in row.items():
+                e = exp + ssum
+                coeffs[e] = coeffs.get(e, 0) + c * weight
     return LaurentPoly(coeffs)
 
 
@@ -284,13 +294,16 @@ def _check_size(d: AnnularDiagram) -> None:
 def bracket(d: AnnularDiagram) -> LaurentPoly:
     """Reference bracket: resolve all 2^n smoothings from scratch.
 
-    Crossings n - 2 and n - 1 are left open (with one crossing, that
-    one; with none, the one empty smoothing) and each smoothing of the
-    others is traced independently by one loop, which ends a trace at
-    an open slot (a path) or back at its start (a closed circle).  Each
-    distinct set of path ends and parities is closed under each sign of
-    the open crossings by tracing the paths together with that sign's
-    arcs (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3).  The
+    The last K crossings are left open, K = 1 below n = 6, 2 at
+    n = 6-7 and 3 from n = 8 (all of them below n = 2; with none, the
+    one empty smoothing), and each smoothing of the others is traced
+    independently by one loop, which ends a trace at an open slot (a
+    path) or back at its start (a closed circle).  Each distinct set of
+    path ends and parities is closed under each of the 2^K sign choices
+    of the open crossings by tracing the paths together with their arcs
+    (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3).  An open
+    crossing halves the smoothings traced and doubles the closings, so
+    it pays only once n is large enough; see `_open_count`.  The
     only state shared between iterations is a visit-stamp array, so
     this route has none of the incremental bookkeeping `bracket_gray`
     relies on.  The value is memoised on the diagram under this route's
@@ -305,11 +318,22 @@ def _plain_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     return d._cached("states:plain", lambda: _plain_states(d))
 
 
-def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
-    """Histogram of smoothing invariants over all 2^n states, with
-    crossings n - 2 and n - 1 left open (see `bracket`).
+def _open_count(n: int) -> int:
+    """How many of n crossings `_plain_states` leaves open (all of them
+    when n < 2; its docstring gives the tiers and why they hold)."""
+    return min(n, max(1, min(3, (n - 2) // 2)))
 
-    Each smoothing of crossings 0 .. n - 3 is traced from scratch by one
+
+def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
+    """Histogram of smoothing invariants over all 2^n states, with the
+    last K = `_open_count(n)` crossings left open: one below n = 6, two
+    at n = 6-7, three from n = 8 (see `bracket`).  An open crossing
+    halves the smoothings traced here and doubles the closings of each
+    distinct signature, so it pays once the traces it saves outweigh the
+    closings it adds: measured on the verify-sweep inputs, from about
+    n = 6 for the second and n = 8 for the third.
+
+    Each smoothing of the other crossings is traced from scratch by one
     loop over the start half-edges: the open slots, then the even
     half-edges below the first open slot (every arc of either smoothing
     joins an even slot to an odd one, so every closed circle holds one).
@@ -319,15 +343,16 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     scanned: a circle start on an unmarked path would stop at that
     path's open end and count half a path as a circle.  Each smoothing
     is counted under its signature: for each open slot, the slot at the
-    other end of its path and that path's parity, four bits a slot.
-    Each distinct signature is then closed all four ways by tracing the
-    small graph of its paths and the open crossings' arcs."""
+    other end of its path (at most 11) and that path's parity, five
+    bits a slot.  Each distinct signature is then closed all 2^K ways,
+    K the open count, by tracing the small graph of its paths and the
+    open crossings' arcs."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     n = d.n
     free_triv = d.free_loops.count(0)
     free_ess = len(d.free_loops) - free_triv
-    traced = n - min(n, 2)  # crossings 0 .. traced - 1; the rest stay open
+    traced = n - _open_count(n)  # crossings 0 .. traced - 1; the rest stay open
     base = 4 * traced  # open slot h is half-edge base + h
     opens = 4 * n - base
     starts = list(range(base, 4 * n)) + list(range(0, base, 2))
@@ -352,7 +377,7 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
                     break
             if h0 >= base:
                 a, b = h0 - base, m - base
-                sig |= (b << 1 | par) << 4 * a | (a << 1 | par) << 4 * b
+                sig |= (b << 1 | par) << 5 * a | (a << 1 | par) << 5 * b
             elif par:
                 ess += 1
             else:
@@ -375,8 +400,8 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
                     par = 0
                     a = a0
                     while True:  # along a path to b, then across b's arc
-                        b = sig >> 4 * a + 1 & 7
-                        par ^= sig >> 4 * a & 1
+                        b = sig >> 5 * a + 1 & 15
+                        par ^= sig >> 5 * a & 1
                         seen[a] = seen[b] = True
                         a = b ^ 1 if signs >> (b >> 2) & 1 else b ^ 3
                         if a == a0:

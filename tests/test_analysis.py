@@ -124,19 +124,22 @@ def literal_adequacy(d):
     return tuple(out)
 
 
+def random_map(n, rng):
+    """Any pairing of 4n slots, planar or not, with random edge parities:
+    a file need not pass validate() before props reads it."""
+    slots = list(range(4 * n))
+    rng.shuffle(slots)
+    edge = [""] * (4 * n)
+    for k in range(0, 4 * n, 2):
+        edge[slots[k]] = edge[slots[k + 1]] = "e%d" % k
+    crossings = {"x%d" % i: tuple(edge[4 * i:4 * i + 4]) for i in range(n)}
+    return AnnularDiagram(crossings, {e: rng.randint(0, 1) for e in sorted(set(edge))})
+
+
 def random_diagram(kind, seed):
     rng = random.Random(seed)
     if kind == "maps":
-        # any pairing of slots, planar or not: a file need not pass
-        # validate() before props reads it
-        n = rng.randint(1, 6)
-        slots = list(range(4 * n))
-        rng.shuffle(slots)
-        edge = [""] * (4 * n)
-        for k in range(0, 4 * n, 2):
-            edge[slots[k]] = edge[slots[k + 1]] = "e%d" % k
-        crossings = {"x%d" % i: tuple(edge[4 * i:4 * i + 4]) for i in range(n)}
-        return AnnularDiagram(crossings, {e: rng.randint(0, 1) for e in set(edge)})
+        return random_map(rng.randint(1, 6), rng)
     if kind == "loops":
         return from_free_loops([rng.randint(0, 1) for _ in range(rng.randint(0, 5))])
     strands = rng.randint(2, 5)  # short words leave some strands as free loops

@@ -266,6 +266,14 @@ class TestBracket:
         assert rc == EXIT_CAP
         assert "27" in err
 
+    @pytest.mark.parametrize("orientation", ("1", "1,1", "1,x"))
+    def test_orientation_needs_jones(self, capsys, orientation):
+        # the orientation only orients the jones row; without it a
+        # one-entry orientation of a two-component diagram went unread
+        rc, out, err = run(capsys, "bracket", "braid 2: s1 s1", "--orientation", orientation)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == ["--orientation applies to bracket --jones only"]
+
     def test_bad_orientation(self, capsys):
         rc, _, err = run(
             capsys, "bracket", "--jones", "--orientation", "1,x", "one_crossing"

@@ -34,7 +34,7 @@ from annulink.skein import (
     writhe,
 )
 from annulink.theorems import FAIL, PASS, verify_all
-from test_analysis import random_diagram
+from test_analysis import random_diagram, random_map
 
 
 def closure(word, strands, disk=False):
@@ -195,11 +195,13 @@ def resolved_histogram(d):
 
 def open_paths(d):
     """Every path (start, end, parity) between open slots, numbered from
-    4(n - 2), that some smoothing of crossings 0 .. n - 3 gives."""
+    the first open crossing's slot 0, that some smoothing of the traced
+    crossings gives; the last `_open_count(n)` crossings are open."""
     t = d.half_edges()
-    base = 4 * (d.n - 2)
+    traced = d.n - skein._open_count(d.n)
+    base = 4 * traced
     paths = set()
-    for signs in itertools.product((1, -1), repeat=d.n - 2):
+    for signs in itertools.product((1, -1), repeat=traced):
         for h0 in range(base, 4 * d.n):
             par, cur = 0, h0
             while True:
@@ -213,11 +215,11 @@ def open_paths(d):
 
 
 def shares_a_circle(d):
-    """Whether some smoothing has a circle through both open crossings."""
-    last = 4 * (d.n - 1)
+    """Whether some smoothing has a circle through every open crossing."""
+    first = 4 * (d.n - skein._open_count(d.n))
     for signs in itertools.product((1, -1), repeat=d.n):
         ident = skein._label_circles(d, signs)[0]
-        if set(ident[last - 4 : last]) & set(ident[last:]):
+        if set.intersection(*(set(ident[h : h + 4]) for h in range(first, 4 * d.n, 4))):
             return True
     return False
 
@@ -229,10 +231,43 @@ def crossing_at(d, cid, index):
     return AnnularDiagram({c: d.crossings[c] for c in order}, d.edge_parity, d.free_loops, d.external)
 
 
+def random_closure(seed, sizes):
+    """A random braid closure whose crossing count lies in ``sizes``."""
+    rng = random.Random(seed)
+    strands = rng.randint(2, 5)
+    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.choice(sizes))]
+    return closure(word, strands, disk=rng.random() < 0.3)
+
+
+def kinked(sign, index):
+    """An eight-crossing closure with an R1 kink moved to ``index``."""
+    base = closure([1, -2, 1, 2, -1, 2, 1], 3)
+    d = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
+    (kink,) = set(d.crossings) - set(base.crossings)
+    d = crossing_at(d, kink, index)
+    assert d.n == 8 and skein._open_count(d.n) == 3
+    h = 4 * index
+    assert d.half_edges().mate[h] == h + (3 if sign > 0 else 1)
+    return d
+
+
+def r2_pair_appended(base):
+    """``base`` with an R2 pair, which insert_r2 appends as its last two
+    crossings, joined to each other by two edges."""
+    face_edges = ({base.crossings[c][k] for c, k in f} for f in base.trace_faces())
+    e1, e2 = sorted(next(e for e in face_edges if len(e) >= 2))[:2]
+    d = insert_r2(base, e1, e2)
+    t = d.half_edges()
+    assert t.order[:-2] == list(base.crossings)
+    last = 4 * (d.n - 1)
+    assert sum(1 for h in range(last - 4, last) if t.mate[h] >= last) == 2
+    return d
+
+
 class TestPlainOpenCrossing:
-    """The plain route, which leaves crossings n - 2 and n - 1 open and
-    closes them all four ways, against a third evaluator: `resolve` on
-    every smoothing."""
+    """The plain route, which leaves the last one to three crossings open
+    and closes each signature all 2^K ways, against a third evaluator:
+    `resolve` on every smoothing (or, past n = 10, the Gray walk)."""
 
     @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
     def test_random_diagrams(self, kind):
@@ -244,76 +279,128 @@ class TestPlainOpenCrossing:
                 assert skein._plain_states(d) == resolved_histogram(d)
         assert len(sizes) >= (1 if kind == "loops" else 4)
 
+    def test_open_count_by_size(self):
+        # one open crossing below n = 6, two at n = 6-7, three from n = 8
+        counts = [skein._open_count(n) for n in range(12)]
+        assert counts == [0, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+        assert skein._open_count(MAX_CROSSINGS) == 3
+
+    @pytest.mark.parametrize("n,k", ((5, 1), (6, 2), (7, 2), (8, 3)))
+    def test_tier_boundaries(self, n, k):
+        assert skein._open_count(n) == k
+        zigzag = closure([(1, -2, 3)[i % 3] for i in range(n)], 4)
+        for d in [zigzag] + [random_map(n, random.Random(seed)) for seed in range(4)]:
+            assert d.n == n
+            assert skein._plain_states(d) == resolved_histogram(d)
+
+    @pytest.mark.parametrize("kind", ("braids", "maps"))
+    def test_three_open_against_resolve(self, kind):
+        for seed in range(12):
+            if kind == "braids":
+                d = random_closure(seed, (8, 9, 10))
+            else:
+                d = random_map(8 + seed % 3, random.Random(seed))
+            assert 8 <= d.n <= 10
+            assert skein._plain_states(d) == resolved_histogram(d)
+
+    @pytest.mark.parametrize("kind", ("braids", "maps"))
+    def test_three_open_against_gray(self, kind):
+        for seed in range(8):
+            if kind == "braids":
+                d = random_closure(seed, (11, 12, 13, 14))
+            else:
+                d = random_map(11 + seed % 4, random.Random(seed))
+            assert 11 <= d.n <= 14
+            assert skein._plain_states(d) == skein._gray_states(d)
+
     def test_no_crossings(self):
         assert skein._plain_states(from_free_loops([])) == {(0, 0, 0): 1}
         d = from_free_loops([0, 1, 1])
         assert skein._plain_states(d) == resolved_histogram(d) == {(0, 1, 2): 1}
 
     def test_one_crossing(self):
+        # the one crossing is open and nothing is traced
         d = closure([1], 2)
         assert d.n == 1
         assert skein._plain_states(d) == resolved_histogram(d) == {(1, 0, 2): 1, (-1, 1, 0): 1}
 
     @pytest.mark.parametrize("word", ([1, 1], [1, -1], [-1, -1]))
-    def test_two_crossings_none_traced(self, word):
-        # every path is one edge, and two of them run straight between the
-        # open crossings; odd ones cross the cut
+    def test_two_crossings_one_traced(self, word):
+        # crossing x2 is open: every path runs through x1 and back to a slot
+        # next to its start, under both parities
         d = closure(word, 2)
         assert d.n == 2
         paths = open_paths(d)
-        assert any(a < 4 <= b and par for a, b, par in paths)
+        assert {(a, b) for a, b, _ in paths} == {(a, a ^ k) for a in range(4) for k in (1, 3)}
+        assert {par for _, _, par in paths} == {0, 1}
         assert skein._plain_states(d) == resolved_histogram(d)
         loops = AnnularDiagram(d.crossings, d.edge_parity, (1, 0), d.external)
         assert skein._plain_states(loops) == resolved_histogram(loops)
 
     @pytest.mark.parametrize("sign", (1, -1))
     def test_kink_on_the_open_crossing(self, sign):
-        # insert_r1 adds the kink last; its loop joins slots 3-0 (+) or 0-1
-        # (-), so the path from its slot 0 ends at once, on slot 3 or slot 1
-        base = closure([1, -2, 1, 2], 3)
-        d = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
-        last = 4 * (d.n - 1)
-        assert d.half_edges().mate[last] == last + (3 if sign > 0 else 1)
+        # a kink's loop joins slots 3-0 (+) or 0-1 (-), so the path from its
+        # slot 0 ends at once, on slot 3 or slot 1
+        d = kinked(sign, 7)
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_kink_on_the_middle_open_crossing(self, sign):
+        d = kinked(sign, 6)
         assert skein._plain_states(d) == resolved_histogram(d)
 
     @pytest.mark.parametrize("sign", (1, -1))
     def test_kink_on_the_first_open_crossing(self, sign):
-        base = closure([1, -2, 1, 2], 3)
-        kinked = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
-        (kink,) = set(kinked.crossings) - set(base.crossings)
-        d = crossing_at(kinked, kink, kinked.n - 2)
-        first = 4 * (d.n - 2)
-        assert d.half_edges().mate[first] == first + (3 if sign > 0 else 1)
+        d = kinked(sign, 5)
         assert skein._plain_states(d) == resolved_histogram(d)
 
     def test_r2_pair_as_the_open_crossings(self):
-        # insert_r2 appends its two crossings, joined by two edges: both
-        # are paths that run straight from one open crossing to the other
-        base = closure([1, 2, -1, 2], 3)
-        face_edges = ({base.crossings[c][k] for c, k in f} for f in base.trace_faces())
-        e1, e2 = sorted(next(e for e in face_edges if len(e) >= 2))[:2]
-        d = insert_r2(base, e1, e2)
-        t = d.half_edges()
-        assert t.order[:-2] == list(base.crossings)
-        last = 4 * (d.n - 1)
-        assert sum(1 for h in range(last - 4, last) if t.mate[h] >= last) == 2
+        # insert_r2 appends its two crossings, joined by two edges: both are
+        # paths that run straight from one open crossing to the other
+        d = r2_pair_appended(closure([1, 2, -1, 2], 3))
+        assert skein._open_count(d.n) == 2
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+    def test_r2_pair_among_three_open_crossings(self):
+        # the pair is the last two of three open crossings
+        d = r2_pair_appended(closure([1, 2, -1, 2, 1, 2], 3))
+        assert skein._open_count(d.n) == 3
         assert skein._plain_states(d) == resolved_histogram(d)
 
     def test_open_crossings_on_one_circle(self):
         d = closure([1, 1, 1, -2, 1, -2], 3)
+        assert skein._open_count(d.n) == 2
         assert shares_a_circle(d)
         assert skein._plain_states(d) == resolved_histogram(d)
 
+    def test_three_open_crossings_on_one_circle(self):
+        d = closure([1, 1, 1, -2, 1, -2, 1, 1], 3)
+        assert skein._open_count(d.n) == 3
+        assert shares_a_circle(d)
+        assert skein._plain_states(d) == resolved_histogram(d)
+
+    def test_path_to_the_third_open_crossing(self):
+        # an odd path from the first open crossing ends on the third one,
+        # whose slots 8-11 need the fifth bit of a signature field
+        d = closure([1, 1, 1, -2, 1, -2, 1, 1], 3)
+        assert skein._open_count(d.n) == 3
+        assert (1, 8, 1) in open_paths(d)
+        assert skein._plain_states(d) == resolved_histogram(d)
+
     def test_open_path_ending_at_slot_2(self):
-        # not planar: x1's path from slot 0 runs through x0 and, at x0's -
-        # smoothing, comes back at x1's slot 2; x2 joins its opposite slots
-        # by edges of its own
-        d = AnnularDiagram(
-            {"x0": ("a", "b", "c", "d"), "x1": ("c", "a", "d", "b"), "x2": ("e", "f", "e", "f")},
-            {"a": 1, "b": 0, "c": 1, "d": 0, "e": 1, "f": 0},
+        # not planar: y1's path from slot 0 runs through the traced y0 and,
+        # at y0's - smoothing, comes back at y1's slot 2; y2 and y3 join
+        # their own opposite slots, so paths run 4-6 and 8-10
+        base = closure([1, -2, 1, 2], 3)
+        crossings = dict(base.crossings)
+        crossings.update(
+            y0=("a", "b", "c", "d"), y1=("c", "a", "d", "b"), y2=("g", "h", "g", "h"), y3=("e", "f", "e", "f")
         )
+        parity = dict(base.edge_parity, a=1, b=0, c=1, d=0, e=1, f=0, g=0, h=1)
+        d = AnnularDiagram(crossings, parity)
+        assert skein._open_count(d.n) == 3
         paths = open_paths(d)
-        assert (0, 2, 1) in paths and (4, 6, 1) in paths
+        assert {(0, 2, 1), (4, 6, 0), (8, 10, 1), (9, 11, 0)} <= paths
         assert skein._plain_states(d) == resolved_histogram(d)
         virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
         assert skein._plain_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}

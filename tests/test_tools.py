@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -23,7 +25,10 @@ def test_states_prints_us_per_state_of_both_enumerators():
     result = json.loads(proc.stdout)
     assert list(result) == ["zigzag n=6"]
     assert sorted(result["zigzag n=6"]) == ["gray", "plain"]
-    assert all(us > 0 for us in result["zigzag n=6"].values())
+    for route in result["zigzag n=6"].values():
+        assert sorted(route) == ["us_per_call", "us_per_state"]
+        assert route["us_per_call"] == pytest.approx(64 * route["us_per_state"], rel=0.01, abs=0.01)
+        assert route["us_per_state"] > 0
 
 
 def load_pairs():

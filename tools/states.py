@@ -1,4 +1,4 @@
-"""Microseconds per state of both state-sum enumerators, as JSON.
+"""Microseconds per call and per state of both state-sum enumerators, as JSON.
 
     python3 tools/states.py
     python3 tools/states.py --sizes 6 --repeats 1
@@ -7,9 +7,12 @@ Times ``skein._plain_states`` and ``skein._gray_states`` on the 4-strand
 zigzag closure ``[1, -2, 3, 1, -2, 3, ...]`` at each size (default
 n = 14, 16, 18 and 20).  Each size runs in a fresh interpreter, so no
 memo or heap state carries over between sizes; inside it each
-enumerator runs ``--repeats`` times on a freshly built diagram and the
-median wall time is divided by the 2^n states.  The output is one JSON
-object: ``{"zigzag n=14": {"plain": us, "gray": us}, ...}``.
+enumerator runs ``--repeats`` times on a freshly built diagram, and the
+median wall time is reported per call and divided by the 2^n states.
+Below about n = 8 a call's set-up outweighs its states, which only the
+per-call figure shows.  The output is one JSON object:
+``{"zigzag n=14": {"plain": {"us_per_call": us, "us_per_state": us},
+"gray": {...}}, ...}``.
 """
 
 import argparse
@@ -25,7 +28,7 @@ ZIGZAG = (1, -2, 3)
 
 
 def measure(n: int, repeats: int) -> dict:
-    """µs per state of each enumerator on the n-crossing zigzag."""
+    """µs per call and per state of each enumerator on the n-crossing zigzag."""
     from annulink import skein
     from annulink.diagram import from_braid_closure
 
@@ -39,12 +42,13 @@ def measure(n: int, repeats: int) -> dict:
             start = time.perf_counter()
             states(d)
             times.append(time.perf_counter() - start)
-        out[name] = round(1e6 * statistics.median(times) / 2 ** n, 4)
+        us = 1e6 * statistics.median(times)
+        out[name] = {"us_per_call": round(us, 2), "us_per_state": round(us / 2 ** n, 4)}
     return out
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="µs per state of the plain and Gray enumerators")
+    ap = argparse.ArgumentParser(description="µs per call and per state of the plain and Gray enumerators")
     ap.add_argument("--sizes", type=int, nargs="+", default=[14, 16, 18, 20])
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
