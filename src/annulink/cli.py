@@ -9,8 +9,8 @@ Exit codes are frozen for scripting:
 
     0  success, all checks passed
     1  a check with met hypotheses failed
-    2  unreadable or unparsable input, --mirror outside bracket, or
-       --orientation without --jones
+    2  unreadable or unparsable input, an unwritable output path,
+       --mirror outside bracket, or --orientation without --jones
     3  resource cap exceeded (crossing limit, or a coefficient too long to print)
 
 Output is deterministic: identical inputs, seeds and flags produce
@@ -143,7 +143,7 @@ def _load_target(
     except UnicodeDecodeError as exc:
         message = "%r is not UTF-8 text: %s" % (arg, exc.reason)
         raise DiagramFormatError(0, message) from exc
-    except ValueError as exc:  # a builder rejected the diagram
+    except (ValueError, OverflowError) as exc:  # a builder rejected the diagram
         raise DiagramFormatError(0, str(exc)) from exc
     bad = d.validate() if checked else []
     if bad:
@@ -277,23 +277,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         diagrams = generate_family(args.family, args.size, args.seed)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DiagramFormatError(0, str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
-    for k, d in enumerate(diagrams):
-        meta = {
-            "family": args.family,
-            "seed": str(args.seed),
-            "index": str(k),
-        }
-        path = os.path.join(
-            args.out, "%s-seed%d-%02d.diag" % (args.family, args.seed, k)
-        )
-        save_diagram(path, d, meta)
+    written = []  # reported once every file is written
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for k, d in enumerate(diagrams):
+            meta = {
+                "family": args.family,
+                "seed": str(args.seed),
+                "index": str(k),
+            }
+            path = os.path.join(
+                args.out, "%s-seed%d-%02d.diag" % (args.family, args.seed, k)
+            )
+            save_diagram(path, d, meta)
+            written.append((path, d.n))
+    except OSError as exc:
+        message = "cannot write %s: %s" % (exc.filename or args.out, exc.strerror or exc)
+        raise DiagramFormatError(0, message) from exc
+    for path, n in written:
         if args.format == "structured":
-            _emit("written=%s crossings=%d" % (path, d.n))
+            _emit("written=%s crossings=%d" % (path, n))
         else:
-            _emit("wrote %s (%d crossings)" % (path, d.n))
+            _emit("wrote %s (%d crossings)" % (path, n))
     return EXIT_OK
 
 

@@ -110,18 +110,6 @@ class LaurentPoly:
                 terms[e] = terms.get(e, 0) + c1 * c2
         return LaurentPoly(terms)
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def times_int(self, k: int) -> "LaurentPoly":
         return LaurentPoly({e: k * c for e, c in self._terms.items()})
 

@@ -28,18 +28,15 @@ crossings 1 .. n - 1 that relabels in place only the path a flip
 changed, counting each state with its twin, crossing 0 at ``-``, in
 closed form: a merge, a split or a reconnection (see `bracket_gray`).
 `bracket` enumerates them independently and is its oracle: the two
-must always agree and are never merged.  It leaves the last K
-crossings open, K = 1 below n = 6, 2 at n = 6-7 and 3 from n = 8
-(`_open_count`), and traces each smoothing of the others from scratch,
-which gives some closed circles and 2K paths between the 4K open slots.
-Smoothings whose paths join the same slots with the same parities are
-closed together, by one rule: trace the small graph of the paths and
-the open crossings' arcs for each of the 2^K sign choices.  Each open
-crossing halves the smoothings traced and doubles the closings per
-distinct signature, so K grows with n; the measured break-evens lie
-near n = 6 and n = 8.  Plain closes its open crossings from traced
-path ends and Gray closes crossing 0 from live circle ids, so the
-routes share no step.  Each route memoises its histogram and its value
+must always agree and are never merged.  It leaves the last three
+crossings open (all of them below n = 3) and traces each smoothing of
+the others from scratch, which gives some closed circles and six paths
+between the twelve open slots.  Smoothings whose paths join the same
+slots with the same parities are closed together, by one rule: trace
+the small graph of the paths and the open crossings' arcs for each of
+the eight sign choices (see `_plain_states`).  Plain closes its open
+crossings from traced path ends and Gray closes crossing 0 from live
+circle ids, so the routes share no step.  Each route memoises its histogram and its value
 on the diagram under keys of its own, so a diagram is evaluated at
 most once per route and neither route can read the other's result.
 Both refuse diagrams with more than MAX_CROSSINGS crossings rather
@@ -294,20 +291,17 @@ def _check_size(d: AnnularDiagram) -> None:
 def bracket(d: AnnularDiagram) -> LaurentPoly:
     """Reference bracket: resolve all 2^n smoothings from scratch.
 
-    The last K crossings are left open, K = 1 below n = 6, 2 at
-    n = 6-7 and 3 from n = 8 (all of them below n = 2; with none, the
-    one empty smoothing), and each smoothing of the others is traced
-    independently by one loop, which ends a trace at an open slot (a
-    path) or back at its start (a closed circle).  Each distinct set of
-    path ends and parities is closed under each of the 2^K sign choices
-    of the open crossings by tracing the paths together with their arcs
-    (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3).  An open
-    crossing halves the smoothings traced and doubles the closings, so
-    it pays only once n is large enough; see `_open_count`.  The
-    only state shared between iterations is a visit-stamp array, so
-    this route has none of the incremental bookkeeping `bracket_gray`
-    relies on.  The value is memoised on the diagram under this route's
-    own key.
+    The last three crossings are left open (all of them below n = 3;
+    with none, the one empty smoothing), and each smoothing of the
+    others is traced independently by one loop, which ends a trace at an
+    open slot (a path) or back at its start (a closed circle).  Each
+    distinct set of path ends and parities is closed under each sign
+    choice of the open crossings by tracing the paths together with
+    their arcs (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3);
+    `_plain_states` says why three stay open.  The only state shared
+    between iterations is a visit-stamp array, so this route has none
+    of the incremental bookkeeping `bracket_gray` relies on.  The value
+    is memoised on the diagram under this route's own key.
     """
     _check_size(d)
     return d._cached("bracket:plain", lambda: _assemble(_plain_histogram(d)))
@@ -318,20 +312,16 @@ def _plain_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     return d._cached("states:plain", lambda: _plain_states(d))
 
 
-def _open_count(n: int) -> int:
-    """How many of n crossings `_plain_states` leaves open (all of them
-    when n < 2; its docstring gives the tiers and why they hold)."""
-    return min(n, max(1, min(3, (n - 2) // 2)))
-
-
 def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     """Histogram of smoothing invariants over all 2^n states, with the
-    last K = `_open_count(n)` crossings left open: one below n = 6, two
-    at n = 6-7, three from n = 8 (see `bracket`).  An open crossing
-    halves the smoothings traced here and doubles the closings of each
-    distinct signature, so it pays once the traces it saves outweigh the
-    closings it adds: measured on the verify-sweep inputs, from about
-    n = 6 for the second and n = 8 for the third.
+    last K = min(n, 3) crossings left open at every size (see
+    `bracket`).  An open crossing halves the smoothings traced here and
+    doubles the closings of each distinct signature.  Three suit the
+    sizes where the time goes, n >= 8: two cost more at every such n
+    (1.45 against 0.89 ms per diagram at n = 10, 37 against 20 ms at
+    n = 14, on the seed-1 verify-sweep inputs), and a fourth pays only
+    from n = 10.  Below n = 8 three cost at most about 0.05 ms a diagram
+    more than the best count, too little to justify a count per size.
 
     Each smoothing of the other crossings is traced from scratch by one
     loop over the start half-edges: the open slots, then the even
@@ -344,15 +334,15 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     path's open end and count half a path as a circle.  Each smoothing
     is counted under its signature: for each open slot, the slot at the
     other end of its path (at most 11) and that path's parity, five
-    bits a slot.  Each distinct signature is then closed all 2^K ways,
-    K the open count, by tracing the small graph of its paths and the
-    open crossings' arcs."""
+    bits a slot.  Each distinct signature is then closed all 2^K ways
+    by tracing the small graph of its paths and the open crossings'
+    arcs."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     n = d.n
     free_triv = d.free_loops.count(0)
     free_ess = len(d.free_loops) - free_triv
-    traced = n - _open_count(n)  # crossings 0 .. traced - 1; the rest stay open
+    traced = max(n - 3, 0)  # crossings 0 .. traced - 1; the rest stay open
     base = 4 * traced  # open slot h is half-edge base + h
     opens = 4 * n - base
     starts = list(range(base, 4 * n)) + list(range(0, base, 2))

@@ -66,6 +66,8 @@ class TestUnreadableInput:
 
     def test_recipe_rejected_by_the_builder(self, capsys, sub):
         assert "out of range" in self.rejected(capsys, sub, "braid 2: s1 s3")
+        # past sys.maxsize, so no strand list is ever allocated
+        assert "cannot fit" in self.rejected(capsys, sub, "braid 99999999999999999999: s1")
 
 
 def one_crossing_file(tmp_path, old, new):
@@ -496,6 +498,25 @@ class TestGenerate:
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == "size must be >= 0, not %s\n" % size
         assert not out_dir.exists()
+
+    def test_size_past_the_index_range(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        rc, out, err = run(capsys, "generate", "parallel-cores", "99999999999999999999", "--out", str(out_dir))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1, err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "below, strerror", [("", "File exists"), ("sub", "Not a directory")], ids=["file", "below-a-file"]
+    )
+    def test_unwritable_out(self, capsys, tmp_path, below, strerror):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / below
+        rc, out, err = run(capsys, "generate", "parallel-cores", "1", "--out", str(target))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "cannot write %s: %s\n" % (target, strerror)
+        assert blocker.read_text() == ""
 
     def test_unknown_family(self, capsys, tmp_path):
         rc, _, err = run(

@@ -196,9 +196,9 @@ def resolved_histogram(d):
 def open_paths(d):
     """Every path (start, end, parity) between open slots, numbered from
     the first open crossing's slot 0, that some smoothing of the traced
-    crossings gives; the last `_open_count(n)` crossings are open."""
+    crossings gives; the last min(n, 3) crossings are open."""
     t = d.half_edges()
-    traced = d.n - skein._open_count(d.n)
+    traced = d.n - min(d.n, 3)
     base = 4 * traced
     paths = set()
     for signs in itertools.product((1, -1), repeat=traced):
@@ -216,7 +216,7 @@ def open_paths(d):
 
 def shares_a_circle(d):
     """Whether some smoothing has a circle through every open crossing."""
-    first = 4 * (d.n - skein._open_count(d.n))
+    first = 4 * (d.n - min(d.n, 3))
     for signs in itertools.product((1, -1), repeat=d.n):
         ident = skein._label_circles(d, signs)[0]
         if set.intersection(*(set(ident[h : h + 4]) for h in range(first, 4 * d.n, 4))):
@@ -224,11 +224,16 @@ def shares_a_circle(d):
     return False
 
 
+def in_order(d, order):
+    """``d`` with its crossings listed in ``order``."""
+    return AnnularDiagram({c: d.crossings[c] for c in order}, d.edge_parity, d.free_loops, d.external)
+
+
 def crossing_at(d, cid, index):
     """``d`` with crossing ``cid`` moved to ``index`` in the crossing order."""
     order = [c for c in d.crossings if c != cid]
     order.insert(index, cid)
-    return AnnularDiagram({c: d.crossings[c] for c in order}, d.edge_parity, d.free_loops, d.external)
+    return in_order(d, order)
 
 
 def random_closure(seed, sizes):
@@ -245,7 +250,7 @@ def kinked(sign, index):
     d = insert_r1(base, sorted(base.edge_parity)[0], sign=sign)
     (kink,) = set(d.crossings) - set(base.crossings)
     d = crossing_at(d, kink, index)
-    assert d.n == 8 and skein._open_count(d.n) == 3
+    assert d.n == 8  # crossings 5-7 are open
     h = 4 * index
     assert d.half_edges().mate[h] == h + (3 if sign > 0 else 1)
     return d
@@ -265,7 +270,7 @@ def r2_pair_appended(base):
 
 
 class TestPlainOpenCrossing:
-    """The plain route, which leaves the last one to three crossings open
+    """The plain route, which leaves the last min(n, 3) crossings open
     and closes each signature all 2^K ways, against a third evaluator:
     `resolve` on every smoothing (or, past n = 10, the Gray walk)."""
 
@@ -279,15 +284,9 @@ class TestPlainOpenCrossing:
                 assert skein._plain_states(d) == resolved_histogram(d)
         assert len(sizes) >= (1 if kind == "loops" else 4)
 
-    def test_open_count_by_size(self):
-        # one open crossing below n = 6, two at n = 6-7, three from n = 8
-        counts = [skein._open_count(n) for n in range(12)]
-        assert counts == [0, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
-        assert skein._open_count(MAX_CROSSINGS) == 3
-
-    @pytest.mark.parametrize("n,k", ((5, 1), (6, 2), (7, 2), (8, 3)))
-    def test_tier_boundaries(self, n, k):
-        assert skein._open_count(n) == k
+    # n = 5-8, each id with the open count that an earlier, per-size rule gave
+    @pytest.mark.parametrize("n", (5, 6, 7, 8), ids=("5-1", "6-2", "7-2", "8-3"))
+    def test_tier_boundaries(self, n):
         zigzag = closure([(1, -2, 3)[i % 3] for i in range(n)], 4)
         for d in [zigzag] + [random_map(n, random.Random(seed)) for seed in range(4)]:
             assert d.n == n
@@ -326,13 +325,13 @@ class TestPlainOpenCrossing:
 
     @pytest.mark.parametrize("word", ([1, 1], [1, -1], [-1, -1]))
     def test_two_crossings_one_traced(self, word):
-        # crossing x2 is open: every path runs through x1 and back to a slot
-        # next to its start, under both parities
+        # both crossings are open and nothing is traced: each path is one
+        # edge between open slots, and the one signature is closed four ways
         d = closure(word, 2)
         assert d.n == 2
-        paths = open_paths(d)
-        assert {(a, b) for a, b, _ in paths} == {(a, a ^ k) for a in range(4) for k in (1, 3)}
-        assert {par for _, _, par in paths} == {0, 1}
+        t = d.half_edges()
+        assert open_paths(d) == {(h, t.mate[h], t.epar[h]) for h in range(8)}
+        assert {par for _, _, par in open_paths(d)} == {0, 1}
         assert skein._plain_states(d) == resolved_histogram(d)
         loops = AnnularDiagram(d.crossings, d.edge_parity, (1, 0), d.external)
         assert skein._plain_states(loops) == resolved_histogram(loops)
@@ -354,28 +353,15 @@ class TestPlainOpenCrossing:
         d = kinked(sign, 5)
         assert skein._plain_states(d) == resolved_histogram(d)
 
-    def test_r2_pair_as_the_open_crossings(self):
-        # insert_r2 appends its two crossings, joined by two edges: both are
-        # paths that run straight from one open crossing to the other
-        d = r2_pair_appended(closure([1, 2, -1, 2], 3))
-        assert skein._open_count(d.n) == 2
-        assert skein._plain_states(d) == resolved_histogram(d)
-
     def test_r2_pair_among_three_open_crossings(self):
-        # the pair is the last two of three open crossings
+        # insert_r2 appends its two crossings, joined by two edges: the pair
+        # is the last two of the three open crossings, and both edges are
+        # paths that run straight from one of its crossings to the other
         d = r2_pair_appended(closure([1, 2, -1, 2, 1, 2], 3))
-        assert skein._open_count(d.n) == 3
-        assert skein._plain_states(d) == resolved_histogram(d)
-
-    def test_open_crossings_on_one_circle(self):
-        d = closure([1, 1, 1, -2, 1, -2], 3)
-        assert skein._open_count(d.n) == 2
-        assert shares_a_circle(d)
         assert skein._plain_states(d) == resolved_histogram(d)
 
     def test_three_open_crossings_on_one_circle(self):
         d = closure([1, 1, 1, -2, 1, -2, 1, 1], 3)
-        assert skein._open_count(d.n) == 3
         assert shares_a_circle(d)
         assert skein._plain_states(d) == resolved_histogram(d)
 
@@ -383,7 +369,6 @@ class TestPlainOpenCrossing:
         # an odd path from the first open crossing ends on the third one,
         # whose slots 8-11 need the fifth bit of a signature field
         d = closure([1, 1, 1, -2, 1, -2, 1, 1], 3)
-        assert skein._open_count(d.n) == 3
         assert (1, 8, 1) in open_paths(d)
         assert skein._plain_states(d) == resolved_histogram(d)
 
@@ -398,12 +383,46 @@ class TestPlainOpenCrossing:
         )
         parity = dict(base.edge_parity, a=1, b=0, c=1, d=0, e=1, f=0, g=0, h=1)
         d = AnnularDiagram(crossings, parity)
-        assert skein._open_count(d.n) == 3
         paths = open_paths(d)
         assert {(0, 2, 1), (4, 6, 0), (8, 10, 1), (9, 11, 0)} <= paths
         assert skein._plain_states(d) == resolved_histogram(d)
         virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
         assert skein._plain_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
+
+
+class TestCrossingOrder:
+    """The order of the crossings picks the ones the plain route leaves
+    open and the one the Gray walk counts in closed form; neither
+    histogram may depend on it."""
+
+    @staticmethod
+    def agree(d, rng):
+        hist = skein._plain_states(d)
+        assert skein._gray_states(d) == hist
+        for _ in range(3):
+            order = list(d.crossings)
+            rng.shuffle(order)
+            e = in_order(d, order)
+            assert e.half_edges().order == order
+            assert skein._plain_states(e) == skein._gray_states(e) == hist
+
+    @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
+    def test_random_diagrams(self, kind):
+        rng = random.Random(kind)
+        sizes = set()
+        for seed in range(40):
+            d = random_diagram(kind, seed)
+            if d.n <= 8:
+                sizes.add(d.n)
+                self.agree(d, rng)
+        assert len(sizes) >= (1 if kind == "loops" else 4)
+
+    def test_random_closures(self):
+        rng = random.Random(9)
+        for seed in range(12):
+            d = random_closure(seed, (9, 10, 11, 12))
+            assert 9 <= d.n <= 12
+            self.agree(d, rng)
 
 
 def twin_cases(d):

@@ -95,3 +95,11 @@ def test_pairs_summary_counts_correct_runs_and_failed_ops():
     ])
     assert lines["parent"] == "parent correct 2/2 runs, failed 0/200 ops"
     assert lines["change"] == "change correct 1/2 runs, failed 3/200 ops"
+
+
+def test_pairs_prints_each_end_to_end_ratio_of_a_pair():
+    names = ("setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+    parent = {"metrics": {name: {"value": 2.0} for name in names}}
+    change = {"metrics": {name: {"value": 2.0 + k} for k, name in enumerate(names)}}
+    line = load_pairs().pair_ratios({"parent": parent, "change": change})
+    assert line == "setup_s 1.000 ops_per_s 1.500 op_p50_ms 2.000 op_tail_ms 2.500 peak_rss_mb 3.000"

@@ -8,7 +8,8 @@ directory and removed at the end, or an existing checkout given as
 ``--base-tree``.  Each pair runs ``perfbench/run.py`` once in the base
 and once in the working tree, each with its own copy of the benchmark,
 and alternates which side runs first.  A line per run (correct, ops/s,
-peak RSS) and per pair (change/parent ratios) is printed as it arrives;
+peak RSS) and per pair (change/parent ratios of the five end-to-end
+metrics, set-up time included) is printed as it arrives;
 at the end, per metric, come the two medians,
 the change/parent ratio, how many pairs the change won and the parent's
 interquartile range.  Each end-to-end metric of ``BENCHMARK.json`` is
@@ -54,6 +55,12 @@ def quartiles(values: List[float]) -> List[float]:
     if len(values) < 2:
         return [values[0]] * 3
     return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def pair_ratios(pair: Dict[str, dict]) -> str:
+    """The change/parent ratio of each end-to-end metric of one pair."""
+    return " ".join("%s %.3f" % (name, value(pair["change"], name) / value(pair["parent"], name))
+                    for name in ("setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb"))
 
 
 def summary(runs: List[dict], manifest: dict) -> List[str]:
@@ -122,9 +129,7 @@ def main(argv=None) -> int:
                     k + 1, who, pair[who]["correct"], value(pair[who], "ops_per_s"), value(pair[who], "peak_rss_mb")),
                     flush=True)
             runs.append(pair)
-            ratios = ("%s %.3f" % (name, value(pair["change"], name) / value(pair["parent"], name))
-                      for name in ("ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb"))
-            print("pair %d change/parent: %s" % (k + 1, " ".join(ratios)), flush=True)
+            print("pair %d change/parent: %s" % (k + 1, pair_ratios(pair)), flush=True)
     finally:
         if tmp is not None:
             subprocess.run(["git", "worktree", "remove", "--force", base], cwd=ROOT, capture_output=True)
