@@ -50,6 +50,7 @@ from itertools import compress
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 __all__ = [
+    "MAX_SIZE",
     "UNBOUNDED",
     "AnnularDiagram",
     "from_free_loops",
@@ -62,6 +63,10 @@ __all__ = [
 ]
 
 UNBOUNDED = "unbounded"
+
+# Largest braid strand count and `generate` size: each is allocated for
+# before anything reads it.  Five times the largest count any test uses.
+MAX_SIZE = 100_000
 
 Corner = Tuple[str, int]
 Designator = Union[str, Corner]
@@ -410,6 +415,8 @@ def from_braid_closure(word: Sequence[int], strands: int, *, disk: bool = False)
     """
     if strands < 1:
         raise ValueError("strands must be >= 1")
+    if strands > MAX_SIZE:
+        raise ValueError("strands must be <= %d, not %d" % (MAX_SIZE, strands))
     for g in word:
         if g == 0 or abs(g) >= strands:
             raise ValueError("generator %r out of range for %d strands" % (g, strands))

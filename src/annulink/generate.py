@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .analysis import is_connected, is_simple
 from .diagram import (
+    MAX_SIZE,
     AnnularDiagram,
     from_braid_closure,
     from_free_loops,
@@ -173,11 +174,13 @@ FAMILIES = tuple(_BUILDERS)
 
 def generate_family(family: str, size: int, seed: int) -> List[AnnularDiagram]:
     """Dispatch by family name (the command-line entry point).  Raises
-    ValueError for an unknown family or a negative size."""
+    ValueError for an unknown family or a size outside 0 .. MAX_SIZE."""
     if family not in _BUILDERS:
         raise ValueError(
             "unknown family %r (want one of %s)" % (family, ", ".join(FAMILIES))
         )
     if size < 0:
         raise ValueError("size must be >= 0, not %d" % size)
+    if size > MAX_SIZE:
+        raise ValueError("size must be <= %d, not %d" % (MAX_SIZE, size))
     return _BUILDERS[family](size, seed)

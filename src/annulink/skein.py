@@ -28,17 +28,16 @@ crossings 1 .. n - 1 that relabels in place only the path a flip
 changed, counting each state with its twin, crossing 0 at ``-``, in
 closed form: a merge, a split or a reconnection (see `bracket_gray`).
 `bracket` enumerates them independently and is its oracle: the two
-must always agree and are never merged.  It leaves the last three
-crossings open (all of them below n = 3) and traces each smoothing of
-the others from scratch, which gives some closed circles and six paths
-between the twelve open slots.  Smoothings whose paths join the same
-slots with the same parities are closed together, by one rule: trace
-the small graph of the paths and the open crossings' arcs for each of
-the eight sign choices (see `_plain_states`).  Plain closes its open
-crossings from traced path ends and Gray closes crossing 0 from live
-circle ids, so the routes share no step.  Each route memoises its histogram and its value
-on the diagram under keys of its own, so a diagram is evaluated at
-most once per route and neither route can read the other's result.
+must always agree and are never merged.  It runs one trace loop twice:
+over the smoothings of all but the last three crossings, each traced
+from scratch into closed circles and paths between the open slots, and
+then over every smoothing of the three-crossing map whose edges are
+those paths, once per distinct set of path ends (see `_plain_states`).
+Plain closes its open crossings by tracing path ends and Gray closes
+crossing 0 from live circle ids, so the routes share no step.  Each
+route memoises its histogram and its value on the diagram under keys of
+its own, so a diagram is evaluated at most once per route and neither
+route can read the other's result.
 Both refuse diagrams with more than MAX_CROSSINGS crossings rather
 than start a hopeless enumeration.
 """
@@ -291,17 +290,13 @@ def _check_size(d: AnnularDiagram) -> None:
 def bracket(d: AnnularDiagram) -> LaurentPoly:
     """Reference bracket: resolve all 2^n smoothings from scratch.
 
-    The last three crossings are left open (all of them below n = 3;
-    with none, the one empty smoothing), and each smoothing of the
-    others is traced independently by one loop, which ends a trace at an
-    open slot (a path) or back at its start (a closed circle).  Each
-    distinct set of path ends and parities is closed under each sign
-    choice of the open crossings by tracing the paths together with
-    their arcs (``+`` joins slots 0-3 and 1-2, ``-`` joins 0-1 and 2-3);
-    `_plain_states` says why three stay open.  The only state shared
-    between iterations is a visit-stamp array, so this route has none
-    of the incremental bookkeeping `bracket_gray` relies on.  The value
-    is memoised on the diagram under this route's own key.
+    One trace loop, `_smoothings`, runs twice: over the smoothings of
+    all but the last three crossings, each traced from scratch, then
+    over those of the small map formed by each distinct set of paths
+    left between the open slots.  The only state shared between
+    iterations is a visit-stamp array, so this route has none of the
+    incremental bookkeeping `bracket_gray` relies on.  The value is
+    memoised on the diagram under this route's own key.
     """
     _check_size(d)
     return d._cached("bracket:plain", lambda: _assemble(_plain_histogram(d)))
@@ -313,43 +308,49 @@ def _plain_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 
 
 def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
-    """Histogram of smoothing invariants over all 2^n states, with the
-    last K = min(n, 3) crossings left open at every size (see
-    `bracket`).  An open crossing halves the smoothings traced here and
-    doubles the closings of each distinct signature.  Three suit the
-    sizes where the time goes, n >= 8: two cost more at every such n
-    (1.45 against 0.89 ms per diagram at n = 10, 37 against 20 ms at
-    n = 14, on the seed-1 verify-sweep inputs), and a fourth pays only
-    from n = 10.  Below n = 8 three cost at most about 0.05 ms a diagram
-    more than the best count, too little to justify a count per size.
-
-    Each smoothing of the other crossings is traced from scratch by one
-    loop over the start half-edges: the open slots, then the even
-    half-edges below the first open slot (every arc of either smoothing
-    joins an even slot to an odd one, so every closed circle holds one).
-    A trace stops at an open slot, which ends a path, or back at its
-    start, which closes a circle.  The open slots come first so that
-    every half-edge on a path is marked before the circle starts are
-    scanned: a circle start on an unmarked path would stop at that
-    path's open end and count half a path as a circle.  Each smoothing
-    is counted under its signature: for each open slot, the slot at the
-    other end of its path (at most 11) and that path's parity, five
-    bits a slot.  Each distinct signature is then closed all 2^K ways
-    by tracing the small graph of its paths and the open crossings'
-    arcs."""
+    """Histogram of smoothing invariants over all 2^n states: `_smoothings`
+    with the last K = min(n, 3) crossings open, then once more on the
+    K-crossing map of each distinct set of path ends it finds.  Three
+    open crossings suit n >= 8, where the time goes: two cost more at
+    every such n, and a fourth pays only from n = 10."""
     t = d.half_edges()
-    mate, epar = t.mate, t.epar
     n = d.n
     free_triv = d.free_loops.count(0)
     free_ess = len(d.free_loops) - free_triv
-    traced = max(n - 3, 0)  # crossings 0 .. traced - 1; the rest stay open
-    base = 4 * traced  # open slot h is half-edge base + h
-    opens = 4 * n - base
+    k = min(n, 3)
+    hist: Dict[Tuple[int, int, int], int] = {}
+    for ends, rows in _smoothings(t.mate, t.epar, n, n - k).items():
+        closings = _smoothings([e >> 1 for e in ends], [e & 1 for e in ends], k, k)[()]
+        for (pop, triv, ess), count in rows.items():
+            for (pop_k, triv_k, ess_k), ways in closings.items():
+                key = (n - 2 * (pop + pop_k), triv + triv_k + free_triv, ess + ess_k + free_ess)
+                hist[key] = hist.get(key, 0) + count * ways
+    return hist
+
+
+def _smoothings(
+    mate: Sequence[int], epar: Sequence[int], n: int, traced: int
+) -> Dict[Tuple[int, ...], Dict[Tuple[int, int, int], int]]:
+    """Count the 2^traced smoothings of crossings 0 .. traced - 1 of an
+    n-crossing map, the rest left open, by (minus signs, trivial,
+    essential circles) under their ``ends``: for open slot a, half-edge
+    4 * traced + a, ``far slot << 1 | parity`` of its path.  With
+    ``traced = n`` nothing is open and the one key is ``()``.
+
+    Each smoothing is traced from scratch, from the open slots and then
+    from the even half-edges below them (every arc joins an even slot to
+    an odd one, so every closed circle holds one); a trace stops at an
+    open slot (a path) or back at its start (a circle).  The open slots
+    come first so that every half-edge on a path is marked before a
+    circle start on it could stop at the path's end and count half a
+    path as a circle."""
+    base = 4 * traced
     starts = list(range(base, 4 * n)) + list(range(0, base, 2))
     visited = [-1] * (4 * n)
-    counts: Dict[Tuple[int, int, int, int], int] = {}
-    for bits in range(1 << traced):
-        sig = triv = ess = 0
+    counts: Dict[Tuple[int, ...], Dict[Tuple[int, int, int], int]] = {}
+    for bits in range(1 << traced):  # bit c puts crossing c at -
+        ends = [0] * (4 * n - base)
+        triv = ess = 0
         for h0 in starts:
             if visited[h0] == bits:  # on a path or circle already traced
                 continue
@@ -357,8 +358,7 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
             cur = h0
             while True:
                 m = mate[cur]
-                visited[cur] = bits
-                visited[m] = bits
+                visited[cur] = visited[m] = bits
                 par ^= epar[cur]
                 if m >= base:
                     break
@@ -367,45 +367,15 @@ def _plain_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
                     break
             if h0 >= base:
                 a, b = h0 - base, m - base
-                sig |= (b << 1 | par) << 5 * a | (a << 1 | par) << 5 * b
+                ends[a], ends[b] = b << 1 | par, a << 1 | par
             elif par:
                 ess += 1
             else:
                 triv += 1
-        key = (bits.bit_count(), triv, ess, sig)
-        counts[key] = counts.get(key, 0) + 1
-    # (minus signs, trivial, essential) of each way to close a signature;
-    # bit c of `signs` puts open crossing c at -
-    closings: Dict[int, List[Tuple[int, int, int]]] = {}
-    hist: Dict[Tuple[int, int, int], int] = {}
-    for (pop, triv, ess, sig), count in counts.items():
-        if sig not in closings:
-            closings[sig] = []
-            for signs in range(1 << (n - traced)):
-                seen = [False] * opens
-                closed = [0, 0]  # circles of parity 0, 1
-                for a0 in range(opens):
-                    if seen[a0]:
-                        continue
-                    par = 0
-                    a = a0
-                    while True:  # along a path to b, then across b's arc
-                        b = sig >> 5 * a + 1 & 15
-                        par ^= sig >> 5 * a & 1
-                        seen[a] = seen[b] = True
-                        a = b ^ 1 if signs >> (b >> 2) & 1 else b ^ 3
-                        if a == a0:
-                            break
-                    closed[par] += 1
-                closings[sig].append((signs.bit_count(), closed[0], closed[1]))
-        for pop_open, triv_open, ess_open in closings[sig]:
-            key = (
-                n - 2 * (pop + pop_open),
-                triv + triv_open + free_triv,
-                ess + ess_open + free_ess,
-            )
-            hist[key] = hist.get(key, 0) + count
-    return hist
+        rows = counts.setdefault(tuple(ends), {})
+        key = (bits.bit_count(), triv, ess)
+        rows[key] = rows.get(key, 0) + 1
+    return counts
 
 
 def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:

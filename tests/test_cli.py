@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from annulink import cli, skein
+from annulink import cli, generate, skein
 from annulink.cli import EXIT_CAP, EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from annulink.diagfile import load_diagram, save_diagram
 from annulink.diagram import from_braid_closure
+from annulink.generate import FAMILIES
 from annulink.theorems import FAIL, CheckRecord, VerificationReport
 
 
@@ -66,8 +67,10 @@ class TestUnreadableInput:
 
     def test_recipe_rejected_by_the_builder(self, capsys, sub):
         assert "out of range" in self.rejected(capsys, sub, "braid 2: s1 s3")
-        # past sys.maxsize, so no strand list is ever allocated
-        assert "cannot fit" in self.rejected(capsys, sub, "braid 99999999999999999999: s1")
+        # past the size bound, so no strand list is ever allocated
+        for strands in ("100001", "99999999999999999999"):
+            err = self.rejected(capsys, sub, "braid %s: s1" % strands)
+            assert err == "strands must be <= 100000, not %s\n" % strands
 
 
 def one_crossing_file(tmp_path, old, new):
@@ -498,6 +501,23 @@ class TestGenerate:
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == "size must be >= 0, not %s\n" % size
         assert not out_dir.exists()
+
+    def test_size_past_the_bound(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        rc, out, err = run(capsys, "generate", "parallel-cores", "100001", "--out", str(out_dir))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "size must be <= 100000, not 100001\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_size_past_the_bound_builds_nothing(self, capsys, tmp_path, monkeypatch, family):
+        def builder(size, seed):
+            raise AssertionError("built %d diagrams" % size)
+
+        monkeypatch.setitem(generate._BUILDERS, family, builder)
+        rc, out, err = run(capsys, "generate", family, "100001", "--out", str(tmp_path / "out"))
+        assert (rc, out, err) == (EXIT_INPUT, "", "size must be <= 100000, not 100001\n")
+        assert not (tmp_path / "out").exists()
 
     def test_size_past_the_index_range(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

@@ -193,6 +193,16 @@ def resolved_histogram(d):
     return hist
 
 
+def literal_histogram(d):
+    """The state histogram of the plain route's trace loop run once, on
+    all 2^n smoothings with no crossing left open."""
+    t = d.half_edges()
+    free_triv = d.free_loops.count(0)
+    free_ess = len(d.free_loops) - free_triv
+    rows = skein._smoothings(t.mate, t.epar, d.n, d.n)[()]
+    return {(d.n - 2 * pop, triv + free_triv, ess + free_ess): count for (pop, triv, ess), count in rows.items()}
+
+
 def open_paths(d):
     """Every path (start, end, parity) between open slots, numbered from
     the first open crossing's slot 0, that some smoothing of the traced
@@ -271,8 +281,9 @@ def r2_pair_appended(base):
 
 class TestPlainOpenCrossing:
     """The plain route, which leaves the last min(n, 3) crossings open
-    and closes each signature all 2^K ways, against a third evaluator:
-    `resolve` on every smoothing (or, past n = 10, the Gray walk)."""
+    and traces all 2^K smoothings of the map each distinct set of path
+    ends forms, against a third evaluator: `resolve` on every smoothing
+    (or, past n = 10, the Gray walk)."""
 
     @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
     def test_random_diagrams(self, kind):
@@ -326,7 +337,7 @@ class TestPlainOpenCrossing:
     @pytest.mark.parametrize("word", ([1, 1], [1, -1], [-1, -1]))
     def test_two_crossings_one_traced(self, word):
         # both crossings are open and nothing is traced: each path is one
-        # edge between open slots, and the one signature is closed four ways
+        # edge between open slots, and the one set of path ends is traced four ways
         d = closure(word, 2)
         assert d.n == 2
         t = d.half_edges()
@@ -367,7 +378,7 @@ class TestPlainOpenCrossing:
 
     def test_path_to_the_third_open_crossing(self):
         # an odd path from the first open crossing ends on the third one,
-        # whose slots 8-11 need the fifth bit of a signature field
+        # whose slots 8-11 are the highest far slots a path end can hold
         d = closure([1, 1, 1, -2, 1, -2, 1, 1], 3)
         assert (1, 8, 1) in open_paths(d)
         assert skein._plain_states(d) == resolved_histogram(d)
@@ -388,6 +399,26 @@ class TestPlainOpenCrossing:
         assert skein._plain_states(d) == resolved_histogram(d)
         virtual = AnnularDiagram({"x1": ("a", "b", "a", "b")}, {"a": 1, "b": 0})
         assert skein._plain_states(virtual) == resolved_histogram(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
+
+
+class TestGrayAgainstLiteral:
+    """The Gray walk against the literal oracle, which traces every
+    smoothing whole and shares no step with it."""
+
+    @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
+    def test_random_diagrams(self, kind):
+        sizes = set()
+        for seed in range(40):
+            d = random_diagram(kind, seed)
+            if d.n <= 10:
+                sizes.add(d.n)
+                assert skein._gray_states(d) == literal_histogram(d)
+        assert len(sizes) >= (1 if kind == "loops" else 4)
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_corpus(self, name):
+        d = get(name).build()
+        assert skein._gray_states(d) == literal_histogram(d)
 
 
 class TestCrossingOrder:
