@@ -10,7 +10,8 @@ Exit codes are frozen for scripting:
     0  success, all checks passed
     1  a check with met hypotheses failed
     2  unreadable or unparsable input, an unwritable output path,
-       --mirror outside bracket, or --orientation without --jones
+       --mirror outside bracket, --seed outside generate, or
+       --orientation without --jones
     3  resource cap exceeded (crossing limit, or a coefficient too long to print)
 
 Output is deterministic: identical inputs, seeds and flags produce
@@ -275,22 +276,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    seed = 0 if args.seed is None else args.seed
     try:
-        diagrams = generate_family(args.family, args.size, args.seed)
+        diagrams = generate_family(args.family, args.size, seed)
     except (ValueError, OverflowError) as exc:
         raise DiagramFormatError(0, str(exc)) from exc
     written = []  # reported once every file is written
     try:
         os.makedirs(args.out, exist_ok=True)
         for k, d in enumerate(diagrams):
-            meta = {
-                "family": args.family,
-                "seed": str(args.seed),
-                "index": str(k),
-            }
-            path = os.path.join(
-                args.out, "%s-seed%d-%02d.diag" % (args.family, args.seed, k)
-            )
+            meta = {"family": args.family, "seed": str(seed), "index": str(k)}
+            path = os.path.join(args.out, "%s-seed%d-%02d.diag" % (args.family, seed, k))
             save_diagram(path, d, meta)
             written.append((path, d.n))
     except OSError as exc:
@@ -318,10 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="report style (default text)",
     )
-    top.add_argument("--seed", type=int, default=0, help="seed for generated families")
+    top.add_argument("--seed", type=int, help="generate only: seed for the family (default 0)")
     top.add_argument(
         "--mirror",
         action="store_true",
+        default=None,
         help="bracket only: report values for the mirror diagram (swaps A and A^-1)",
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -368,10 +365,13 @@ _parser: Optional[argparse.ArgumentParser] = None
 def _run(args: argparse.Namespace) -> int:
     """Run one parsed command.  Every input error exits 2 here and a
     coefficient too long to print exits 3, each with one line on stderr;
-    only `bracket` also turns the crossing cap into exit 3."""
+    only `bracket` also turns the crossing cap into exit 3.  A top-level
+    option that belongs to one subcommand is an input error on any other."""
     try:
-        if args.mirror and args.command != "bracket":
-            raise DiagramFormatError(0, "--mirror applies to bracket only, not %s" % args.command)
+        for flag, command in (("mirror", "bracket"), ("seed", "generate")):
+            if getattr(args, flag) is not None and args.command != command:
+                message = "--%s applies to %s only, not %s" % (flag, command, args.command)
+                raise DiagramFormatError(0, message)
         return args.func(args)
     except DiagramFormatError as exc:
         return _fail(EXIT_INPUT, str(exc) if exc.line else exc.message)

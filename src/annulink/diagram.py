@@ -384,16 +384,12 @@ def from_free_loops(parities: Sequence[int]) -> AnnularDiagram:
     return AnnularDiagram({}, {}, tuple(parities), (UNBOUNDED, UNBOUNDED))
 
 
-def _braid_slot_maps(sign: int) -> Dict[str, int]:
-    """Geometric port -> slot for one braid crossing.
-
-    Ports: NW/NE attach upward to positions i/i+1, SW/SE downward.  For a
-    positive generator the strand entering at NW passes over; slots run
-    counterclockwise with the under-strand on slots 0 and 2.
-    """
-    if sign > 0:
-        return {"SW": 0, "SE": 1, "NE": 2, "NW": 3}
-    return {"SE": 0, "NE": 1, "NW": 2, "SW": 3}
+# (NW, NE, SW, SE) slots of a negative and a positive braid crossing.
+# NW/NE attach upward to positions i/i+1, SW/SE downward; for a positive
+# generator the strand entering at NW passes over.  Slots run
+# counterclockwise with the under-strand on slots 0 and 2, so the west
+# corner (NW to SW) is the NW slot and the east corner (SE to NE) the SE slot.
+_BRAID_SLOTS = ((2, 1, 3, 0), (3, 2, 0, 1))
 
 
 def from_braid_closure(word: Sequence[int], strands: int, *, disk: bool = False) -> AnnularDiagram:
@@ -433,38 +429,29 @@ def from_braid_closure(word: Sequence[int], strands: int, *, disk: bool = False)
 
     for row, g in enumerate(word):
         i = abs(g)
-        ports = _braid_slot_maps(1 if g > 0 else -1)
-        for pos, port in ((i, "NW"), (i + 1, "NE")):
-            here = (row, ports[port])
+        nw, ne, sw, se = _BRAID_SLOTS[g > 0]
+        for pos, slot in ((i, nw), (i + 1, ne)):
             if open_end[pos] is None:
-                first_end[pos] = here
+                first_end[pos] = (row, slot)
             else:
-                new_edge(open_end[pos], here, 0)
-        open_end[i] = (row, ports["SW"])
-        open_end[i + 1] = (row, ports["SE"])
+                new_edge(open_end[pos], (row, slot), 0)
+        open_end[i], open_end[i + 1] = (row, sw), (row, se)
 
+    wrap = 0 if disk else 1
     loops: List[int] = []
-    for pos in range(1, strands + 1):
-        top, bottom = first_end[pos], open_end[pos]
-        if top is None and bottom is None:
-            loops.append(0 if disk else 1)
+    for top, bottom in zip(first_end[1:], open_end[1:]):
+        if top is None or bottom is None:  # the position meets no crossing
+            loops.append(wrap)
         else:
-            assert top is not None and bottom is not None
-            new_edge(bottom, top, 0 if disk else 1)
+            new_edge(bottom, top, wrap)
 
     crossings = {"x%d" % row: tuple(quad) for row, quad in enumerate(slots, start=1)}
-    if not crossings:
-        external: Tuple[Designator, Designator] = (UNBOUNDED, UNBOUNDED)
-    else:
-        used = sorted({abs(g) for g in word})
-        lo, hi = used[0], used[-1]
-        lo_row = next(r for r, g in enumerate(word, start=1) if abs(g) == lo)
-        hi_row = next(r for r, g in enumerate(word, start=1) if abs(g) == hi)
-        # west corner: between NW and SW ports; east corner: between SE and NE.
-        lo_sign = 1 if word[lo_row - 1] > 0 else -1
-        hi_sign = 1 if word[hi_row - 1] > 0 else -1
-        west = ("x%d" % lo_row, 3 if lo_sign > 0 else 2)
-        east = ("x%d" % hi_row, 1 if hi_sign > 0 else 0)
+    external: Tuple[Designator, Designator] = (UNBOUNDED, UNBOUNDED)
+    if word:
+        lo, lo_g = min(enumerate(word, start=1), key=lambda rg: abs(rg[1]))
+        hi, hi_g = max(enumerate(word, start=1), key=lambda rg: abs(rg[1]))
+        west = ("x%d" % lo, _BRAID_SLOTS[lo_g > 0][0])
+        east = ("x%d" % hi, _BRAID_SLOTS[hi_g > 0][3])
         external = (west, west) if disk else (west, east)
 
     return AnnularDiagram(crossings, parity, loops, external)
@@ -528,48 +515,36 @@ def insert_r1(d: AnnularDiagram, edge: Union[str, int], sign: int = 1) -> Annula
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     (cid,), (e_a, e_loop, e_b) = _fresh_ids(d, 1, 3)
-    # Positive kink: the small loop joins slots 3-0 (one A-smoothing pair),
-    # the strand runs in at slot 1 and out at slot 2.  Negative kink: loop
-    # joins 0-1 (a B-pair), strand in at slot 2, out at slot 3.
-    if sign > 0:
-        loop_slots, slot_in, slot_out = (3, 0), 1, 2
-    else:
-        loop_slots, slot_in, slot_out = (0, 1), 2, 3
-    corner_in_out = slot_in  # corner between slot_in and slot_out
-
     crossings = dict(d.crossings)
     parity = dict(d.edge_parity)
     loops = list(d.free_loops)
     external = d.external
 
-    slots: Dict[int, str] = {loop_slots[0]: e_loop, loop_slots[1]: e_loop}
-
     if isinstance(edge, int):
-        # Kink a free loop: it becomes a one-crossing circle.
-        par = loops.pop(edge)
-        parity[e_a] = par
+        # Kink a free loop: it becomes a one-crossing circle on edge e_a.
+        parity[e_a] = loops.pop(edge)
         parity[e_loop] = 0
-        slots[slot_in] = e_a
-        slots[slot_out] = e_a
-        crossings[cid] = (slots[0], slots[1], slots[2], slots[3])
+        e_b = e_a
         if not d.crossings:
-            ref = (cid, corner_in_out)
-            external = (ref, ref)
-        return AnnularDiagram(crossings, parity, loops, external)
+            # Both markers at the corner between the strand's two slots,
+            # unless the circle is essential: it separates the boundary
+            # circles, so the outer marker goes across the strand.
+            inner = (cid, 1 if sign > 0 else 2)
+            outer = (cid, 0 if sign > 0 else 3) if parity[e_a] else inner
+            external = (inner, outer)
+    else:
+        if edge not in d.edge_parity:
+            raise ValueError("unknown edge %r" % edge)
+        end_p, end_q = d.edge_ends()[edge]
+        parity[e_a] = parity.pop(edge)
+        parity[e_loop] = parity[e_b] = 0
+        _rewire(crossings, end_p, e_a)
+        _rewire(crossings, end_q, e_b)
 
-    if edge not in d.edge_parity:
-        raise ValueError("unknown edge %r" % edge)
-    end_p, end_q = d.edge_ends()[edge]
-    del parity[edge]
-    parity[e_a] = d.edge_parity[edge]
-    parity[e_loop] = 0
-    parity[e_b] = 0
-    slots[slot_in] = e_a
-    slots[slot_out] = e_b
-
-    _rewire(crossings, end_p, e_a)
-    _rewire(crossings, end_q, e_b)
-    crossings[cid] = (slots[0], slots[1], slots[2], slots[3])
+    # Positive kink: the small loop joins slots 3-0 (one A-smoothing pair)
+    # and the strand runs in at slot 1, out at slot 2.  Negative kink: the
+    # loop joins 0-1 (a B-pair) and the strand runs in at 2, out at 3.
+    crossings[cid] = (e_loop, e_a, e_b, e_loop) if sign > 0 else (e_loop, e_loop, e_a, e_b)
     return AnnularDiagram(crossings, parity, loops, external)
 
 

@@ -516,28 +516,24 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
     Self-crossings of a component keep their sign when the component is
     reversed, so knots have a well-defined writhe.
     """
-    walks = d.strand_walks()
-    ncomp = len(walks) + len(d.free_loops)
-    if orientation is None:
-        dirs = [1] * ncomp
-    else:
-        dirs = list(orientation)
-        if len(dirs) != ncomp or any(o not in (1, -1) for o in dirs):
-            raise ValueError(
-                "orientation must give +1 or -1 for each of the %d components"
-                % ncomp
-            )
-    exits: Dict[str, Dict[str, int]] = {}
-    for k, walk in enumerate(walks):
-        for c, s in walk:
-            kind = "under" if s % 2 == 0 else "over"
-            exits.setdefault(c, {})[kind] = (s + 2) % 4 if dirs[k] > 0 else s
-    total = 0
-    for c, seen in exits.items():
-        if len(seen) != 2:
-            raise ValueError("crossing %s missing a passage" % c)
-        total += 1 if seen["under"] == (seen["over"] - 1) % 4 else -1
-    return total
+    t = d.half_edges()
+    ncomp = len(t.walks) + len(d.free_loops)
+    dirs = [1] * ncomp if orientation is None else list(orientation)
+    if len(dirs) != ncomp or any(o not in (1, -1) for o in dirs):
+        raise ValueError("orientation must give +1 or -1 for each of the %d components" % ncomp)
+    # exits[2i] and exits[2i + 1]: the slots by which crossing i's under-
+    # and over-strand leave.  A walk arriving at h leaves by h ^ 2, or by
+    # h itself when its component is reversed.
+    exits = [0] * (2 * d.n)
+    for start, o in zip(t.walks, dirs):
+        turn = 2 if o > 0 else 0
+        h = start
+        while True:
+            exits[h >> 2 << 1 | h & 1] = (h ^ turn) & 3
+            h = t.mate[h ^ 2]
+            if h == start:
+                break
+    return sum(1 if u == (v - 1) & 3 else -1 for u, v in zip(exits[::2], exits[1::2]))
 
 
 def jones(

@@ -307,6 +307,25 @@ def test_mirror_is_for_bracket_only(capsys, monkeypatch, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "one_crossing"],
+        ["bracket", "braid 2: s1"],
+        ["props", "braid 2: s1"],
+        ["verify", "braid 2: -s1 -s1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_for_generate_only(capsys, argv):
+    """`--seed` seeds the generated families only; every other subcommand
+    rejects it, seed 0 included, rather than ignore it."""
+    for seed in ("3", "0"):
+        rc, out, err = run(capsys, "--seed", seed, *argv)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == ["--seed applies to generate only, not %s" % argv[0]]
+
+
 class TestProps:
     def test_profile_lines(self, capsys):
         rc, out, _ = run(capsys, "props", "one_crossing")
@@ -491,6 +510,16 @@ class TestGenerate:
         assert meta["family"] == "alternating-braid-closures"
         assert meta["seed"] == "6"
         assert meta["index"] == "0"
+
+    def test_unset_seed_is_seed_zero(self, capsys, tmp_path):
+        trees = []
+        for seed in ([], ["--seed", "0"]):
+            out_dir = tmp_path / str(len(trees))
+            rc, _, _ = run(capsys, *seed, "generate", "parallel-cores", "2", "--out", str(out_dir))
+            assert rc == EXIT_OK
+            trees.append({p.name: p.read_text() for p in out_dir.iterdir()})
+        assert trees[0] == trees[1]
+        assert sorted(trees[0]) == ["parallel-cores-seed0-00.diag"]
 
     @pytest.mark.parametrize(
         "family, size", [("parallel-cores", "-3"), ("r-move-perturbations", "-1")]

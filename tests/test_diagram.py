@@ -21,6 +21,11 @@ words = st.lists(
 )
 
 
+# Crossingless diagrams whose loops `insert_r1` kinks; an essential loop
+# separates the two boundary circles.
+KINKED_LOOPS = ([1], [0], [1, 1], [1, 0], [0, 1], [1, 1, 1])
+
+
 def closure(word, strands=4, disk=False):
     return from_braid_closure(word, strands, disk=disk)
 
@@ -204,7 +209,9 @@ class TestValidation:
         else:
             pytest.fail("no single parity flip was rejected")
 
-    @given(words)
+    @given(words, st.sampled_from(KINKED_LOOPS), st.sampled_from((1, -1)))
     @settings(max_examples=40)
-    def test_builders_always_pass(self, word):
+    def test_builders_always_pass(self, word, loops, sign):
         assert closure(word, 4).validate() == []
+        for i in range(len(loops)):
+            assert insert_r1(from_free_loops(loops), i, sign).validate() == []

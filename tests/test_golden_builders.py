@@ -13,7 +13,7 @@ from annulink.diagfile import serialize_diagram
 from annulink.diagram import from_braid_closure, insert_r1, insert_r2, mirror_diagram
 from annulink.generate import FAMILIES, generate_family
 
-GOLDEN = "c2e38ab9496a8739396e104236b00fab4f1d2f61bb65626106be51fc06d0acfc"
+GOLDEN = "4d679727afc00dd808f17f533e2af4a237f48588ccbfd13193c1214dd33c289f"
 
 
 def first_r2(d):
@@ -57,3 +57,8 @@ def test_builder_outputs_match_the_recorded_digest():
         count += 1
     assert count > 1500
     assert digest.hexdigest() == GOLDEN
+
+
+def test_every_builder_output_passes_validate():
+    bad = [(serialize_diagram(d), d.validate()) for d in builder_outputs() if d.validate()]
+    assert bad == []

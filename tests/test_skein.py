@@ -20,6 +20,7 @@ from annulink.diagram import (
     insert_r2,
     mirror_diagram,
 )
+from annulink.generate import FAMILIES, generate_family
 from annulink.laurent import DELTA, ONE, ZERO, LaurentPoly
 from annulink.skein import (
     MAX_CROSSINGS,
@@ -606,11 +607,66 @@ class TestWritheJones:
         with pytest.raises(ValueError):
             jones(d, [1])
 
-    def test_walks_missing_a_passage_raise_value_error(self):
-        d = closure([1], 2)
-        d._cache["walks"] = (((next(iter(d.crossings)), 0),),)  # no over-strand
-        with pytest.raises(ValueError, match="missing a passage"):
-            writhe(d)
+
+
+def dart_walk_writhe(d, orientation=None):
+    """The writhe read off the dart tuples of `strand_walks`: a reference
+    for `writhe`, which walks the half-edge table instead."""
+    walks = d.strand_walks()
+    ncomp = len(walks) + len(d.free_loops)
+    if orientation is None:
+        dirs = [1] * ncomp
+    else:
+        dirs = list(orientation)
+        if len(dirs) != ncomp or any(o not in (1, -1) for o in dirs):
+            raise ValueError(
+                "orientation must give +1 or -1 for each of the %d components"
+                % ncomp
+            )
+    exits = {}
+    for k, walk in enumerate(walks):
+        for c, s in walk:
+            kind = "under" if s % 2 == 0 else "over"
+            exits.setdefault(c, {})[kind] = (s + 2) % 4 if dirs[k] > 0 else s
+    total = 0
+    for c, seen in exits.items():
+        if len(seen) != 2:
+            raise ValueError("crossing %s missing a passage" % c)
+        total += 1 if seen["under"] == (seen["over"] - 1) % 4 else -1
+    return total
+
+
+class TestWritheReference:
+    """`writhe` against the dart-walk reference, under random orientations."""
+
+    @staticmethod
+    def agree(diagrams, rng):
+        for d in diagrams:
+            assert writhe(d) == dart_walk_writhe(d)
+            for _ in range(3):
+                o = [rng.choice((1, -1)) for _ in range(d.component_count())]
+                assert writhe(d, o) == dart_walk_writhe(d, o)
+
+    def test_generated_families(self):
+        rng = random.Random(0)
+        for family in FAMILIES:
+            for size in range(9):
+                for seed in range(6):
+                    self.agree(generate_family(family, size, seed), rng)
+
+    def test_closures_mirrors_and_kinks(self):
+        rng = random.Random(1)
+        for _ in range(100):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))]
+            d = closure(word, strands)
+            kinked = [insert_r1(d, e, rng.choice((1, -1))) for e in sorted(d.edge_parity)[:2]]
+            self.agree([d, mirror_diagram(d)] + kinked, rng)
+
+    @pytest.mark.parametrize("kind", ["annulus", "disk", "kinks", "loops", "maps"])
+    def test_random_diagrams(self, kind):
+        rng = random.Random(kind)
+        self.agree([random_diagram(kind, seed) for seed in range(60)], rng)
 
 
 class TestExponentCongruence:

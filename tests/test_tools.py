@@ -103,3 +103,28 @@ def test_pairs_prints_each_end_to_end_ratio_of_a_pair():
     change = {"metrics": {name: {"value": 2.0 + k} for k, name in enumerate(names)}}
     line = load_pairs().pair_ratios({"parent": parent, "change": change})
     assert line == "setup_s 1.000 ops_per_s 1.500 op_p50_ms 2.000 op_tail_ms 2.500 peak_rss_mb 3.000"
+
+
+def test_pairs_setup_summary_gives_medians_ratio_wins_and_identical_trees():
+    setups = [
+        {"parent": 0.10, "change": 0.12, "same": True},
+        {"parent": 0.08, "change": 0.09, "same": True},
+        {"parent": 0.12, "change": 0.11, "same": False},
+    ]
+    header, line = load_pairs().setup_summary(setups)
+    assert header.split()[:2] == ["interleaved", "set-up"]
+    assert line.split() == ["setup_s", "0.1", "0.11", "1.100", "1/3", "2/3"]
+
+
+def test_pairs_same_tree_compares_names_and_bytes(tmp_path):
+    pairs = load_pairs()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        side.mkdir()
+        (side / "ops.json").write_text("[]")
+        (side / "x.diag").write_bytes(b"[crossings]\n")
+    assert pairs.same_tree(str(a), str(b))
+    (b / "x.diag").write_bytes(b"[crossings]\r\n")
+    assert not pairs.same_tree(str(a), str(b))
+    (b / "x.diag").unlink()
+    assert not pairs.same_tree(str(a), str(b))

@@ -19,7 +19,15 @@ interquartile range exceeds the bound times the parent's median, since
 a spread that wide cannot tell a change within the bound from one past
 it, unless every run of the change beats every run of the parent.  A
 last line per side counts its correct runs and its failed ops out of
-those attempted.  ``--out`` writes every run to a JSON file.
+those attempted.
+
+perfbench times its set-up repeats back to back, so a host that slows
+down for a few seconds moves one side's ``setup_s`` alone.  Each pair
+therefore also runs ``perfbench/inputs.py`` once per tree in fresh
+interpreters, in the pair's order, and prints both set-up times and
+whether the two trees wrote byte-identical inputs; a final block gives
+their medians, ratio, the pairs the change won and the identical count.
+``--out`` writes every run to a JSON file.
 """
 
 import argparse
@@ -45,6 +53,45 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         sys.exit("pairs: perfbench failed in %s:\n%s" % (tree, proc.stderr))
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_setup(tree: str, workload: str, seed: int, out: str) -> float:
+    """One set-up step in ``tree``, in a fresh interpreter, writing its
+    inputs into ``out``; its setup_s."""
+    shutil.rmtree(out, ignore_errors=True)
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "inputs.py"), "--workload", workload,
+         "--seed", str(seed), "--out", out],
+        cwd=tree, capture_output=True, text=True, timeout=300,
+    )
+    if proc.returncode != 0:
+        sys.exit("pairs: set-up failed in %s:\n%s" % (tree, proc.stderr))
+    return json.loads(proc.stdout.splitlines()[-1])["setup_s"]
+
+
+def same_tree(a: str, b: str) -> bool:
+    """Whether two directories hold the same file names with the same bytes."""
+    names = sorted(os.listdir(a))
+    if names != sorted(os.listdir(b)):
+        return False
+    for name in names:
+        with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
+            if fa.read() != fb.read():
+                return False
+    return True
+
+
+def setup_summary(setups: List[dict]) -> List[str]:
+    """The interleaved set-up block: medians, change/parent ratio, pairs
+    the change won and how many pairs wrote byte-identical inputs."""
+    base = [s["parent"] for s in setups]
+    new = [s["change"] for s in setups]
+    mb, mc = statistics.median(base), statistics.median(new)
+    won = sum(1 for b, c in zip(base, new) if c < b)
+    same = sum(1 for s in setups if s["same"])
+    return ["%-20s %12s %12s %7s %5s %s" % ("interleaved set-up", "parent", "change", "ratio", "won", "identical"),
+            "%-20s %12.6g %12.6g %7.3f %2d/%-2d %d/%d"
+            % ("setup_s", mb, mc, mc / mb if mb else float("nan"), won, len(setups), same, len(setups))]
 
 
 def value(result: dict, name: str) -> float:
@@ -111,10 +158,9 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    tmp = None
+    tmp = tempfile.mkdtemp(prefix="pairs-")
     base = args.base_tree
     if base is None:
-        tmp = tempfile.mkdtemp(prefix="pairs-")
         base = os.path.join(tmp, "base")
         subprocess.run(["git", "worktree", "add", "--detach", base, args.base], cwd=ROOT, check=True,
                        capture_output=True)
@@ -128,16 +174,27 @@ def main(argv=None) -> int:
                 print("pair %d %-6s correct=%s ops/s=%.4g rss=%.2f MB" % (
                     k + 1, who, pair[who]["correct"], value(pair[who], "ops_per_s"), value(pair[who], "peak_rss_mb")),
                     flush=True)
-            runs.append(pair)
             print("pair %d change/parent: %s" % (k + 1, pair_ratios(pair)), flush=True)
+            setup = {}
+            for who in order:
+                tree = base if who == "parent" else ROOT
+                setup[who] = run_setup(tree, args.workload, args.seed, os.path.join(tmp, "setup-" + who))
+            setup["same"] = same_tree(os.path.join(tmp, "setup-parent"), os.path.join(tmp, "setup-change"))
+            pair["setup"] = setup
+            runs.append(pair)
+            print("pair %d interleaved setup_s parent %.4f change %.4f, inputs %s" % (
+                k + 1, setup["parent"], setup["change"], "identical" if setup["same"] else "DIFFER"),
+                flush=True)
     finally:
-        if tmp is not None:
+        if args.base_tree is None:
             subprocess.run(["git", "worktree", "remove", "--force", base], cwd=ROOT, capture_output=True)
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": runs}, fh)
     print("\n".join(summary(runs, manifest)))
+    print()
+    print("\n".join(setup_summary([r["setup"] for r in runs])))
     return 0 if all(r["parent"]["correct"] and r["change"]["correct"] for r in runs) else 1
 
 
