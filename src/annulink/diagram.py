@@ -257,18 +257,22 @@ class AnnularDiagram:
 
     # -- faces and strands ---------------------------------------------------
 
-    def _darts(self, turn: int, starts: List[int]) -> Tuple[Tuple[Dart, ...], ...]:
-        """Each cycle of h -> mate[h turned ``turn`` slots] as darts, in
-        trace order from its start."""
-        t = self.half_edges()
-        step = _turned(t.mate, turn)
+    def _traces(self, turn: int, starts: List[int]) -> List[List[int]]:
+        """Each cycle of h -> mate[h turned ``turn`` slots], in trace order
+        from its start."""
+        step = _turned(self.half_edges().mate, turn)
         cycles = []
         for h in starts:
             cycle = [h]
             while step[cycle[-1]] != h:
                 cycle.append(step[cycle[-1]])
-            cycles.append(tuple((t.order[g >> 2], g & 3) for g in cycle))
-        return tuple(cycles)
+            cycles.append(cycle)
+        return cycles
+
+    def _darts(self, turn: int, starts: List[int]) -> Tuple[Tuple[Dart, ...], ...]:
+        """`_traces` with each half-edge h as the dart (crossing id, slot)."""
+        order = self.half_edges().order
+        return tuple(tuple((order[g >> 2], g & 3) for g in cycle) for cycle in self._traces(turn, starts))
 
     def trace_faces(self) -> Tuple[Tuple[Corner, ...], ...]:
         """All faces, each as its cyclic corner sequence."""
@@ -521,6 +525,8 @@ def insert_r1(d: AnnularDiagram, edge: Union[str, int], sign: int = 1) -> Annula
     external = d.external
 
     if isinstance(edge, int):
+        if not 0 <= edge < len(loops):
+            raise ValueError("free loop index %d out of range for %d loops" % (edge, len(loops)))
         # Kink a free loop: it becomes a one-crossing circle on edge e_a.
         parity[e_a] = loops.pop(edge)
         parity[e_loop] = 0
@@ -561,50 +567,32 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
         if e not in d.edge_parity:
             raise ValueError("unknown edge %r" % e)
 
-    # Find arrival darts for both edges on one face: the face boundary
-    # traverses the two edges in opposite senses, which fixes the planar
-    # gluing of the finger.
-    hit1: Dart | None = None
-    hit2: Dart | None = None
-    shared: list = []
-    for face in d.trace_faces():
-        hit1 = hit2 = None
-        for c, s in face:
-            # the dart (c, s) arrived along the edge at slot s
-            eid = d.crossings[c][s]
-            if eid == edge1 and hit1 is None:
-                hit1 = (c, s)
-            elif eid == edge2 and hit2 is None:
-                hit2 = (c, s)
-        if hit1 is not None and hit2 is not None:
-            shared = list(face)
+    # Find the first arrival h1, h2 of each edge on the first face that
+    # has both: the face boundary traverses the two edges in opposite
+    # senses, which fixes the planar gluing of the finger.
+    t = d.half_edges()
+    eids = [eid for slots in d.crossings.values() for eid in slots]  # h -> its edge id
+    for face in d._traces(1, t.faces):
+        ids = [eids[h] for h in face]
+        if edge1 in ids and edge2 in ids:
             break
-    if hit1 is None or hit2 is None:
+    else:
         raise ValueError("edges %r and %r do not bound a common face" % (edge1, edge2))
 
-    # The finger tip sweeps over the stretch of face boundary running
-    # from edge1's corner forward to edge2's.  Cut-arc strands pinned
-    # there end up under the finger, so the stub parities on that side
-    # must absorb their count for every face to stay even.  A boundary
-    # circle sitting in the swept stretch counts once: the arc ends
-    # there.
-    i1, i2 = shared.index(hit1), shared.index(hit2)
-    segment = []
-    j = (i1 + 1) % len(shared)
-    while j != i2:
-        segment.append(shared[j])
-        j = (j + 1) % len(shared)
-    swept = 0
-    for c, s in segment:
-        swept ^= d.edge_parity[d.crossings[c][s]]
-    for designator in d.external:
-        if designator == hit1 or designator in segment:
-            swept ^= 1
+    # The finger tip sweeps over the stretch of face boundary strictly
+    # between h1 and h2.  Cut-arc strands pinned there end up under the
+    # finger, so the stub parities on that side must absorb their count
+    # for every face to stay even.  A boundary circle at h1's corner or
+    # in the stretch counts once: the arc ends there.
+    i1, i2 = ids.index(edge1), ids.index(edge2)
+    h1, h2 = face[i1], face[i2]
+    stretch = face[i1 + 1 : i2] if i1 < i2 else face[i1 + 1 :] + face[:i2]
+    darts = [(t.order[h >> 2], h & 3) for h in [h1] + stretch]
+    swept = (sum(t.epar[h] for h in stretch) + sum(ref in darts for ref in d.external)) & 1
 
     # The boundary walk keeps its face on the right, so edge1 is traversed
     # u_a -> u_b and edge2 the opposite way, v_a -> v_b, around the face.
-    u_b, u_a = hit1, d.other_end(edge1, hit1)
-    v_b, v_a = hit2, d.other_end(edge2, hit2)
+    u_b, u_a, v_b, v_a = [(t.order[h >> 2], h & 3) for h in (h1, t.mate[h1], h2, t.mate[h2])]
 
     (c_l, c_r), (t_w, t_m, t_e, b_w, b_m, b_e) = _fresh_ids(d, 2, 6)
     crossings = dict(d.crossings)
@@ -614,12 +602,10 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     # B outer-west, T toward right).  Right crossing: slots = (B outer-
     # east, T outer-east, B toward left, T toward left).  edge1 = T is
     # the over-strand (slots 1/3) at both crossings.
-    del parity[edge1]
-    del parity[edge2]
-    parity[t_w] = d.edge_parity[edge1]
+    parity[t_w] = parity.pop(edge1)
     parity[t_m] = 0
     parity[t_e] = 0
-    parity[b_w] = d.edge_parity[edge2] ^ swept
+    parity[b_w] = parity.pop(edge2) ^ swept
     parity[b_m] = 0
     parity[b_e] = swept
 

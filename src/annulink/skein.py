@@ -261,21 +261,14 @@ def state_circles(
 
 
 def _assemble(hist: Dict[Tuple[int, int, int], int]) -> LaurentPoly:
-    """The bracket of a state histogram: the weights alpha(ess) * count
-    are summed per trivial count and exponent sum, and each such row is
-    multiplied by delta^trivial once."""
-    rows: Dict[int, Dict[int, int]] = {}
-    for (ssum, triv, ess), count in hist.items():
-        a = alpha(ess)
-        if a:
-            row = rows.setdefault(triv, {})
-            row[ssum] = row.get(ssum, 0) + a * count
+    """The bracket of a state histogram: the sum over its keys
+    (ssum, triv, ess) of count * alpha(ess) * A^ssum * delta^triv."""
     coeffs: Dict[int, int] = {}
-    for triv, row in rows.items():
-        for exp, c in delta_power(triv).items():
-            for ssum, weight in row.items():
-                e = exp + ssum
-                coeffs[e] = coeffs.get(e, 0) + c * weight
+    for (ssum, triv, ess), count in hist.items():
+        weight = alpha(ess) * count
+        if weight:
+            for exp, c in delta_power(triv).items():
+                coeffs[exp + ssum] = coeffs.get(exp + ssum, 0) + c * weight
     return LaurentPoly(coeffs)
 
 

@@ -1,9 +1,12 @@
 """Combinatorial map layer: builders, faces, walks, validation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulink.analysis import is_in_disk, z2_class
 from annulink.diagram import (
     UNBOUNDED,
     AnnularDiagram,
@@ -15,6 +18,7 @@ from annulink.diagram import (
     insert_r2,
     mirror_diagram,
 )
+from annulink.skein import bracket_gray
 
 words = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=8
@@ -139,6 +143,38 @@ class TestMoves:
         d2 = insert_r1(d, edge, sign=-1)
         assert d2.n == d.n + 1
         assert d2.validate() == []
+
+    def test_r1_free_loop_index_out_of_range_raises_value_error(self):
+        d = from_free_loops([1, 0])
+        for index in (5, 2, -1):
+            with pytest.raises(ValueError, match="free loop index"):
+                insert_r1(d, index)
+
+    def test_r2_on_every_shared_face_pair_of_small_closures(self):
+        # every braid word of 1-3 letters on 2 and 3 strands, closed in
+        # the annulus and in a disk: 196 diagrams, 3,160 ordered pairs
+        diagrams = pairs = 0
+        for strands in (2, 3):
+            letters = [g for i in range(1, strands) for g in (i, -i)]
+            for word in itertools.chain.from_iterable(
+                itertools.product(letters, repeat=k) for k in (1, 2, 3)
+            ):
+                for disk in (False, True):
+                    d = closure(word, strands, disk=disk)
+                    diagrams += 1
+                    shared = {
+                        (e1, e2)
+                        for face in d.trace_faces()
+                        for e1, e2 in itertools.permutations({d.crossings[c][s] for c, s in face}, 2)
+                    }
+                    for e1, e2 in sorted(shared):
+                        moved = insert_r2(d, e1, e2)
+                        assert moved.validate() == []
+                        assert bracket_gray(moved) == bracket_gray(d)
+                        assert z2_class(moved) == z2_class(d)
+                        assert is_in_disk(moved) == is_in_disk(d)
+                    pairs += len(shared)
+        assert (diagrams, pairs) == (196, 3160)
 
     def test_r2_adds_two_crossings(self):
         d = closure([1], 2)

@@ -128,3 +128,33 @@ def test_pairs_same_tree_compares_names_and_bytes(tmp_path):
     assert not pairs.same_tree(str(a), str(b))
     (b / "x.diag").unlink()
     assert not pairs.same_tree(str(a), str(b))
+
+
+def test_pairs_keeps_the_finished_pairs_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    names = ("setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+    result = {"correct": True, "attempted": 100, "failed": 0, "metrics": {name: {"value": 1.0} for name in names}}
+    bench_runs = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[1].endswith("inputs.py"):
+            os.makedirs(cmd[cmd.index("--out") + 1])
+            return subprocess.CompletedProcess(cmd, 0, json.dumps({"setup_s": 0.5}) + "\n", "")
+        bench_runs.append(cwd)
+        if len(bench_runs) == 3:
+            return subprocess.CompletedProcess(cmd, 1, "", "boom\n")
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    status = pairs.main(["--base-tree", str(tmp_path), "--workload", "verify-sweep", "--seed", "1",
+                         "--pairs", "4", "--out", str(out)])
+    assert status == 1
+    assert len(bench_runs) == 3
+    printed = capsys.readouterr().out
+    assert "pair 2 change failed, stopping" in printed and "boom" in printed
+    assert "parent correct 1/1 runs" in printed and "interleaved set-up" in printed
+    record = json.loads(out.read_text())
+    assert len(record["pairs"]) == 1
+    assert (record["failure"]["pair"], record["failure"]["side"]) == (2, "change")
+    assert "exited 1" in record["failure"]["error"]

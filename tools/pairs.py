@@ -28,6 +28,11 @@ interpreters, in the pair's order, and prints both set-up times and
 whether the two trees wrote byte-identical inputs; a final block gives
 their medians, ratio, the pairs the change won and the identical count.
 ``--out`` writes every run to a JSON file.
+
+A perfbench or set-up child that exits non-zero or times out stops the
+pairs: the failure is printed with its pair and side, the summary covers
+the pairs finished before it, ``--out`` holds them and the failure, and
+the exit status is 1.
 """
 
 import argparse
@@ -43,30 +48,34 @@ from typing import Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+class RunFailed(Exception):
+    """A perfbench or set-up child that exited non-zero or timed out."""
+
+
+def _child(tree: str, args: List[str], timeout: float) -> dict:
+    """The JSON result line of ``python args`` run in ``tree``; RunFailed
+    when the child exits non-zero or runs past ``timeout`` seconds."""
+    try:
+        proc = subprocess.run([sys.executable] + args, cwd=tree, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RunFailed("%s timed out after %g s in %s" % (args[0], timeout, tree)) from None
+    if proc.returncode != 0:
+        raise RunFailed("%s exited %d in %s:\n%s" % (args[0], proc.returncode, tree, proc.stderr))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in ``tree``; its JSON result line."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=seconds * 4 + 300,
-    )
-    if proc.returncode != 0:
-        sys.exit("pairs: perfbench failed in %s:\n%s" % (tree, proc.stderr))
-    return json.loads(proc.stdout.splitlines()[-1])
+    return _child(tree, [os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
+                         "--seconds", str(seconds), "--trace", "0"], seconds * 4 + 300)
 
 
 def run_setup(tree: str, workload: str, seed: int, out: str) -> float:
     """One set-up step in ``tree``, in a fresh interpreter, writing its
     inputs into ``out``; its setup_s."""
     shutil.rmtree(out, ignore_errors=True)
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "inputs.py"), "--workload", workload,
-         "--seed", str(seed), "--out", out],
-        cwd=tree, capture_output=True, text=True, timeout=300,
-    )
-    if proc.returncode != 0:
-        sys.exit("pairs: set-up failed in %s:\n%s" % (tree, proc.stderr))
-    return json.loads(proc.stdout.splitlines()[-1])["setup_s"]
+    return _child(tree, [os.path.join("perfbench", "inputs.py"), "--workload", workload, "--seed", str(seed),
+                         "--out", out], 300)["setup_s"]
 
 
 def same_tree(a: str, b: str) -> bool:
@@ -165,6 +174,7 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "add", "--detach", base, args.base], cwd=ROOT, check=True,
                        capture_output=True)
     runs: List[Dict[str, dict]] = []
+    failure = None
     try:
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -185,17 +195,23 @@ def main(argv=None) -> int:
             print("pair %d interleaved setup_s parent %.4f change %.4f, inputs %s" % (
                 k + 1, setup["parent"], setup["change"], "identical" if setup["same"] else "DIFFER"),
                 flush=True)
+    except RunFailed as exc:
+        failure = {"pair": k + 1, "side": who, "error": str(exc)}
+        print("pair %d %s failed, stopping: %s" % (k + 1, who, exc), flush=True)
     finally:
         if args.base_tree is None:
             subprocess.run(["git", "worktree", "remove", "--force", base], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": runs}, fh)
-    print("\n".join(summary(runs, manifest)))
-    print()
-    print("\n".join(setup_summary([r["setup"] for r in runs])))
-    return 0 if all(r["parent"]["correct"] and r["change"]["correct"] for r in runs) else 1
+            json.dump({"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": runs,
+                       "failure": failure}, fh)
+    if runs:
+        print("\n".join(summary(runs, manifest)))
+        print()
+        print("\n".join(setup_summary([r["setup"] for r in runs])))
+    ok = failure is None and all(r["parent"]["correct"] and r["change"]["correct"] for r in runs)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
