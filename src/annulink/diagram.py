@@ -31,9 +31,10 @@ crossing.
   emitted on arrival at half-edge h.
 * A strand walk is a cycle of h -> mate[h ^ 2]: the strand enters at
   slot s and leaves through slot s + 2.  A walk lists its arrival
-  half-edges; h ^ 2 belongs to the same passage and is not a start.
-* Faces and walks are numbered by their smallest half-edge, and each
-  starts there, so both come out in crossing order, slot by slot.
+  half-edges; h ^ 2 belongs to the same passage and is not listed.
+* Faces and walks are numbered by their smallest half-edge and stored
+  as int cycles in trace order from there, so both come out in crossing
+  order, slot by slot; ``eid[h]`` names the edge at half-edge h.
 
 For every crossing-bearing connected component the traced map must
 satisfy V - E + F = 2, i.e. each component is a map on the 2-sphere;
@@ -77,11 +78,12 @@ class HalfEdges(NamedTuple):
     """The int form of a diagram's map (numbering in the module docstring)."""
 
     order: List[str]  # crossing ids by index
+    eid: List[str]  # h -> the id of its edge
     mate: List[int]  # h -> the other end of its edge
     epar: List[int]  # h -> the cut parity of its edge
     face: List[int]  # corner h -> the index of its face
-    faces: List[int]  # each face by its smallest corner, where its trace starts
-    walks: List[int]  # each strand walk by its smallest arrival half-edge
+    faces: List[List[int]]  # each face's corners in trace order, from its smallest
+    walks: List[List[int]]  # each strand walk's arrival half-edges, from its smallest
     comp: List[int]  # crossing index -> union-find root of its component
 
 
@@ -136,10 +138,6 @@ class AnnularDiagram:
             for s, eid in enumerate(slots):
                 ends.setdefault(eid, []).append((cid, s))
         return ends
-
-    def other_end(self, edge: str, end: Dart) -> Dart:
-        a, b = self.edge_ends()[edge]
-        return b if end == a else a
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -222,7 +220,7 @@ class AnnularDiagram:
         # Every edge joins two half-edges of one component, so E = 2V there.
         t = self.half_edges()
         vertices = Counter(t.comp)
-        faces_by_comp = Counter(t.comp[h >> 2] for h in t.faces)
+        faces_by_comp = Counter(t.comp[f[0] >> 2] for f in t.faces)
         for root, v in sorted(vertices.items()):
             euler = faces_by_comp[root] - v
             if euler != 2:
@@ -257,26 +255,14 @@ class AnnularDiagram:
 
     # -- faces and strands ---------------------------------------------------
 
-    def _traces(self, turn: int, starts: List[int]) -> List[List[int]]:
-        """Each cycle of h -> mate[h turned ``turn`` slots], in trace order
-        from its start."""
-        step = _turned(self.half_edges().mate, turn)
-        cycles = []
-        for h in starts:
-            cycle = [h]
-            while step[cycle[-1]] != h:
-                cycle.append(step[cycle[-1]])
-            cycles.append(cycle)
-        return cycles
-
-    def _darts(self, turn: int, starts: List[int]) -> Tuple[Tuple[Dart, ...], ...]:
-        """`_traces` with each half-edge h as the dart (crossing id, slot)."""
+    def _darts(self, cycles: List[List[int]]) -> Tuple[Tuple[Dart, ...], ...]:
+        """Int cycles with each half-edge h as the dart (crossing id, slot)."""
         order = self.half_edges().order
-        return tuple(tuple((order[g >> 2], g & 3) for g in cycle) for cycle in self._traces(turn, starts))
+        return tuple(tuple((order[h >> 2], h & 3) for h in cycle) for cycle in cycles)
 
     def trace_faces(self) -> Tuple[Tuple[Corner, ...], ...]:
         """All faces, each as its cyclic corner sequence."""
-        return self._cached("faces", lambda: self._darts(1, self.half_edges().faces))
+        return self._cached("faces", lambda: self._darts(self.half_edges().faces))
 
     def corner_face(self) -> Dict[Corner, int]:
         """corner -> index into trace_faces()."""
@@ -298,7 +284,7 @@ class AnnularDiagram:
         that meets a crossing.  Each walk lists arrival darts; the strand
         enters at slot s and leaves through slot s+2.  Free loops are not
         included (they carry no darts)."""
-        return self._cached("walks", lambda: self._darts(2, self.half_edges().walks))
+        return self._cached("walks", lambda: self._darts(self.half_edges().walks))
 
     def component_count(self) -> int:
         return len(self.half_edges().walks) + len(self.free_loops)
@@ -313,24 +299,26 @@ def _turned(values: List[int], k: int) -> List[int]:
     return out
 
 
-def _cycles(step: List[int], passages: bool = False) -> Tuple[List[int], List[int]]:
-    """(label, starts) of h -> step[h]: each cycle is labelled by its index
-    and starts at its smallest member.  With ``passages`` a visit to h
-    also claims h ^ 2, the other end of its passage, for the same cycle
-    (a strand walk never arrives at both ends of one passage)."""
+def _cycles(step: List[int], passages: bool = False) -> Tuple[List[int], List[List[int]]]:
+    """(label, cycles) of h -> step[h]: each cycle is labelled by its index
+    and listed in trace order from its smallest member.  With ``passages``
+    a visit to h also claims h ^ 2, the other end of its passage, for the
+    same cycle (a strand walk never arrives at both ends of one passage)."""
     label = [-1] * len(step)
-    starts: List[int] = []
+    cycles: List[List[int]] = []
     for h0 in range(len(step)):
         if label[h0] < 0:
-            k = len(starts)
-            starts.append(h0)
+            k = len(cycles)
+            cycle: List[int] = []
+            cycles.append(cycle)
             h = h0
             while label[h] < 0:
                 label[h] = k
+                cycle.append(h)
                 if passages:
                     label[h ^ 2] = k
                 h = step[h]
-    return label, starts
+    return label, cycles
 
 
 def _crossing_components(mate: List[int]) -> List[int]:
@@ -376,7 +364,7 @@ def _build_half_edges(d: AnnularDiagram) -> HalfEdges:
     face, faces = _cycles(_turned(mate, 1))
     walks = _cycles(_turned(mate, 2), passages=True)[1]
     return HalfEdges(
-        list(crossings), mate, [parity[eid] for eid in eids], face, faces, walks, _crossing_components(mate)
+        list(crossings), eids, mate, [parity[eid] for eid in eids], face, faces, walks, _crossing_components(mate)
     )
 
 
@@ -500,11 +488,12 @@ def _fresh_ids(d: AnnularDiagram, want_crossings: int, want_edges: int):
     )
 
 
-def _rewire(crossings: Dict[str, Tuple[str, ...]], end: Dart, eid: str) -> None:
-    """Point one slot at edge ``eid``, replacing that crossing's tuple."""
-    c, s = end
+def _rewire(crossings: Dict[str, Tuple[str, ...]], t: HalfEdges, h: int, eid: str) -> None:
+    """Point half-edge h of table ``t`` at edge ``eid``, replacing its
+    crossing's tuple."""
+    c = t.order[h >> 2]
     slots = list(crossings[c])
-    slots[s] = eid
+    slots[h & 3] = eid
     crossings[c] = tuple(slots)
 
 
@@ -541,11 +530,12 @@ def insert_r1(d: AnnularDiagram, edge: Union[str, int], sign: int = 1) -> Annula
     else:
         if edge not in d.edge_parity:
             raise ValueError("unknown edge %r" % edge)
-        end_p, end_q = d.edge_ends()[edge]
+        t = d.half_edges()
+        h = t.eid.index(edge)
         parity[e_a] = parity.pop(edge)
         parity[e_loop] = parity[e_b] = 0
-        _rewire(crossings, end_p, e_a)
-        _rewire(crossings, end_q, e_b)
+        _rewire(crossings, t, h, e_a)
+        _rewire(crossings, t, t.mate[h], e_b)
 
     # Positive kink: the small loop joins slots 3-0 (one A-smoothing pair)
     # and the strand runs in at slot 1, out at slot 2.  Negative kink: the
@@ -571,9 +561,8 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     # has both: the face boundary traverses the two edges in opposite
     # senses, which fixes the planar gluing of the finger.
     t = d.half_edges()
-    eids = [eid for slots in d.crossings.values() for eid in slots]  # h -> its edge id
-    for face in d._traces(1, t.faces):
-        ids = [eids[h] for h in face]
+    for face in t.faces:
+        ids = [t.eid[h] for h in face]
         if edge1 in ids and edge2 in ids:
             break
     else:
@@ -592,7 +581,7 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
 
     # The boundary walk keeps its face on the right, so edge1 is traversed
     # u_a -> u_b and edge2 the opposite way, v_a -> v_b, around the face.
-    u_b, u_a, v_b, v_a = [(t.order[h >> 2], h & 3) for h in (h1, t.mate[h1], h2, t.mate[h2])]
+    u_b, u_a, v_b, v_a = h1, t.mate[h1], h2, t.mate[h2]
 
     (c_l, c_r), (t_w, t_m, t_e, b_w, b_m, b_e) = _fresh_ids(d, 2, 6)
     crossings = dict(d.crossings)
@@ -609,10 +598,10 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     parity[b_m] = 0
     parity[b_e] = swept
 
-    _rewire(crossings, u_a, t_w)
-    _rewire(crossings, u_b, t_e)
-    _rewire(crossings, v_b, b_w)
-    _rewire(crossings, v_a, b_e)
+    _rewire(crossings, t, u_a, t_w)
+    _rewire(crossings, t, u_b, t_e)
+    _rewire(crossings, t, v_b, b_w)
+    _rewire(crossings, t, v_a, b_e)
     crossings[c_l] = (b_m, t_w, b_w, t_m)
     crossings[c_r] = (b_e, t_e, b_m, t_m)
 

@@ -117,14 +117,13 @@ def parallel_cores(k: int) -> AnnularDiagram:
 
 
 def _random_r2(rng: random.Random, d: AnnularDiagram) -> Optional[AnnularDiagram]:
-    faces = [f for f in d.trace_faces() if len(f) >= 2]
+    t = d.half_edges()
+    faces = [f for f in t.faces if len(f) >= 2]
     if not faces:
         return None
     for _ in range(20):
-        face = rng.choice(faces)
-        (c1, s1), (c2, s2) = rng.sample(list(face), 2)
-        e1 = d.crossings[c1][s1]
-        e2 = d.crossings[c2][s2]
+        h1, h2 = rng.sample(rng.choice(faces), 2)
+        e1, e2 = t.eid[h1], t.eid[h2]
         if e1 != e2:
             return insert_r2(d, e1, e2)
     return None

@@ -518,14 +518,10 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
     # and over-strand leave.  A walk arriving at h leaves by h ^ 2, or by
     # h itself when its component is reversed.
     exits = [0] * (2 * d.n)
-    for start, o in zip(t.walks, dirs):
+    for walk, o in zip(t.walks, dirs):
         turn = 2 if o > 0 else 0
-        h = start
-        while True:
+        for h in walk:
             exits[h >> 2 << 1 | h & 1] = (h ^ turn) & 3
-            h = t.mate[h ^ 2]
-            if h == start:
-                break
     return sum(1 if u == (v - 1) & 3 else -1 for u, v in zip(exits[::2], exits[1::2]))
 
 

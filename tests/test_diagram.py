@@ -18,7 +18,8 @@ from annulink.diagram import (
     insert_r2,
     mirror_diagram,
 )
-from annulink.skein import bracket_gray
+from annulink.generate import FAMILIES, generate_family
+from annulink.skein import bracket_gray, writhe
 
 words = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=8
@@ -191,6 +192,25 @@ class TestMoves:
         d = AnnularDiagram({"x0": ("e2", "e0", "e0", "e2")}, {"e2": 0, "e0": 1})
         with pytest.raises(ValueError, match="invalid map"):
             insert_r2(d, "e2", "e0")
+
+    def test_builders_and_moves_never_build_dart_views(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a dart view was built")
+
+        for name in ("trace_faces", "strand_walks", "corner_face", "edge_ends"):
+            monkeypatch.setattr(AnnularDiagram, name, refuse)
+        moved = 0
+        for family, seed in itertools.product(FAMILIES, range(10)):
+            for d in generate_family(family, 3, seed):
+                for edge in sorted(d.edge_parity):
+                    assert insert_r1(d, edge).n == d.n + 1
+                t = d.half_edges()
+                shared = [ids for ids in (sorted({t.eid[h] for h in f}) for f in t.faces) if len(ids) >= 2]
+                if shared:
+                    assert insert_r2(d, *shared[0][:2]).n == d.n + 2
+                    moved += 1
+                writhe(d)
+        assert moved > 0
 
     def test_full_twist_is_word_level(self):
         w = apply_full_twist([1], 2)

@@ -2,8 +2,8 @@
 
 The reference functions below are the diagram layer as it was before it
 kept one int table: faces, strand walks and crossing components are
-traced through ``(crossing, slot)`` darts with `edge_ends`/`other_end`,
-sets and dicts.  Everything now read off `AnnularDiagram.half_edges`
+traced through ``(crossing, slot)`` darts with `edge_ends`, sets and
+dicts.  Everything now read off `AnnularDiagram.half_edges`
 (faces, corners, walks, components, crossing classes, the profile and
 the `validate` messages) must equal them, order included.
 """
@@ -30,6 +30,11 @@ KINDS = ("annulus", "disk", "kinks", "loops", "maps")
 # -- the reference: dart tracing -----------------------------------------------
 
 
+def other_end(d, edge, end):
+    a, b = d.edge_ends()[edge]
+    return b if end == a else a
+
+
 def ref_trace_faces(d):
     faces, visited = [], set()
     for start_c in d.crossings:
@@ -42,7 +47,7 @@ def ref_trace_faces(d):
                 visited.add((c, s))
                 face.append((c, s))
                 out = (s + 1) % 4
-                c, s = d.other_end(d.crossings[c][out], (c, out))
+                c, s = other_end(d, d.crossings[c][out], (c, out))
             faces.append(tuple(face))
     return tuple(faces)
 
@@ -64,7 +69,7 @@ def ref_strand_walks(d):
                 visited.add((c, (s + 2) % 4))
                 walk.append((c, s))
                 out = (s + 2) % 4
-                c, s = d.other_end(d.crossings[c][out], (c, out))
+                c, s = other_end(d, d.crossings[c][out], (c, out))
             walks.append(tuple(walk))
     return tuple(walks)
 
@@ -238,6 +243,11 @@ def broken(d, rng):
     return AnnularDiagram(crossings, d.edge_parity, d.free_loops, d.external)
 
 
+def as_darts(t, cycles):
+    """Int cycles of the table ``t`` as tuples of (crossing id, slot) darts."""
+    return tuple(tuple((t.order[h >> 2], h & 3) for h in cycle) for cycle in cycles)
+
+
 def ref_sound(d):
     """Four slots per crossing, and every declared edge met exactly twice."""
     ends = d.edge_ends()
@@ -258,6 +268,9 @@ def agree(d):
     assert list(d.corner_face().items()) == list(ref_corner_face(d).items())
     assert d.strand_walks() == ref_strand_walks(d)
     t = d.half_edges()
+    assert t.eid == [d.crossings[t.order[h >> 2]][h & 3] for h in range(4 * d.n)]
+    assert as_darts(t, t.faces) == ref_trace_faces(d)
+    assert as_darts(t, t.walks) == ref_strand_walks(d)
     assert dict(zip(t.order, t.comp)) == ref_components(d)
     assert d.external_face_indices() == ref_external_faces(d)
     p = profile(d)

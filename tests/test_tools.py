@@ -158,3 +158,24 @@ def test_pairs_keeps_the_finished_pairs_when_a_run_fails(tmp_path, monkeypatch, 
     assert len(record["pairs"]) == 1
     assert (record["failure"]["pair"], record["failure"]["side"]) == (2, "change")
     assert "exited 1" in record["failure"]["error"]
+
+
+def test_pairs_bad_base_prints_gits_message_and_leaves_no_temp_dir(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    calls = []
+
+    def fake_run(cmd, cwd, check=False, **kwargs):
+        calls.append(cmd)
+        proc = subprocess.CompletedProcess(cmd, 128, "", "fatal: invalid reference:\n  no-such-ref\n")
+        if check:
+            proc.check_returncode()
+        return proc
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(pairs.tempfile, "tempdir", str(tmp_path))
+    status = pairs.main(["--base", "no-such-ref", "--workload", "verify-sweep", "--seed", "1"])
+    assert status == 2
+    assert [cmd[:3] for cmd in calls] == [["git", "worktree", "add"]]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "fatal: invalid reference: no-such-ref" in err
+    assert list(tmp_path.iterdir()) == []

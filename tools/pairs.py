@@ -32,7 +32,8 @@ their medians, ratio, the pairs the change won and the identical count.
 A perfbench or set-up child that exits non-zero or times out stops the
 pairs: the failure is printed with its pair and side, the summary covers
 the pairs finished before it, ``--out`` holds them and the failure, and
-the exit status is 1.
+the exit status is 1.  A ``--base`` that git cannot check out prints
+git's message and exits 2.
 """
 
 import argparse
@@ -171,8 +172,13 @@ def main(argv=None) -> int:
     base = args.base_tree
     if base is None:
         base = os.path.join(tmp, "base")
-        subprocess.run(["git", "worktree", "add", "--detach", base, args.base], cwd=ROOT, check=True,
-                       capture_output=True)
+        proc = subprocess.run(["git", "worktree", "add", "--detach", base, args.base], cwd=ROOT,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            shutil.rmtree(tmp, ignore_errors=True)
+            print("pairs: git worktree add %s failed: %s" % (args.base, " ".join(proc.stderr.split())),
+                  file=sys.stderr)
+            return 2
     runs: List[Dict[str, dict]] = []
     failure = None
     try:
