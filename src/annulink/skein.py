@@ -24,17 +24,19 @@ Every routine here walks the diagram's cached `half_edges` table; the
 half-edge numbering and its step rules are stated once, in `diagram`.
 
 `bracket_gray` is the route used in production: a Gray-code walk over
-crossings 1 .. n - 1 that relabels in place only the path a flip
-changed, counting each state with its twin, crossing 0 at ``-``, in
-closed form: a merge, a split or a reconnection (see `bracket_gray`).
-`bracket` enumerates them independently and is its oracle: the two
+all crossings but a held one that relabels in place only the path a
+flip changed, counting each state with its twin, the held crossing
+flipped, in closed form: a merge, a split or a reconnection.  Past
+n = 8 a probe of a few smoothings plans which crossing it holds and
+which it flips most often (`_gray_plan`); the plan changes only speed.
+`bracket` enumerates the states independently and is its oracle: the two
 must always agree and are never merged.  It runs one trace loop twice:
 over the smoothings of all but the last three crossings, each traced
 from scratch into closed circles and paths between the open slots, and
 then over every smoothing of the three-crossing map whose edges are
 those paths, once per distinct set of path ends (see `_plain_states`).
 Plain closes its open crossings by tracing path ends and Gray closes
-crossing 0 from live circle ids, so the routes share no step.  Each
+its held crossing from live circle ids, so the routes share no step.  Each
 route memoises its histogram and its value on the diagram under keys of
 its own, so a diagram is evaluated at most once per route and neither
 route can read the other's result.
@@ -45,6 +47,7 @@ than start a hopeless enumeration.
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .diagram import AnnularDiagram
@@ -371,9 +374,42 @@ def _smoothings(
     return counts
 
 
+def _gray_plan(d: AnnularDiagram) -> Tuple[int, int, List[int], int, int]:
+    """(held crossing, its sign, flip order, probe count, R) of the Gray
+    walk on n >= 1 crossings, from R = min(2n, 2^(n-1) // 256) smoothings
+    drawn from ``random.Random(n)``.  Hold the crossing and sign whose
+    arcs, by sharing a circle, sent the twin on a walk in the fewest
+    probes (ties: lowest index, then ``+``); on a planar map exactly one
+    sign's arcs share one, so one labelling counts both (elsewhere it is
+    an estimate; any plan counts every state).  Flip the others cheapest
+    first, by the summed size of the circle a flip relabels (ties: index
+    order)."""
+    n = d.n
+    probes = min(2 * n, (1 << n) >> 9)
+    if not probes:  # n <= 8: a probe would cost more than it saves
+        return 0, 1, list(range(1, n)), 0, 0
+    rng = random.Random(n)
+    shared = [0] * (2 * n)  # 2c: crossing c's + arcs share a circle, 2c + 1: its - arcs
+    cost = [0] * n
+    for _ in range(probes):
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        ident = _label_circles(d, signs)[0]
+        size = [0] * len(ident)
+        for k in ident:
+            size[k] += 1
+        for c in range(n):
+            shared[2 * c + ((ident[4 * c] == ident[4 * c + 2]) == (signs[c] < 0))] += 1
+            cost[c] += size[ident[4 * c + 2]]
+    held = min(range(2 * n), key=shared.__getitem__)
+    order = sorted((x for x in range(n) if x != held >> 1), key=cost.__getitem__)
+    return held >> 1, -1 if held & 1 else 1, order, shared[held], probes
+
+
 def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     """Histogram of smoothing invariants over all 2^n states, two per step
-    of a Gray-code walk over crossings 1 .. n - 1 (see `bracket_gray`).
+    of a Gray-code walk over all crossings but the held one, on the plan
+    of `_gray_plan` (see `bracket_gray`): step i flips
+    ``order[(i & -i).bit_length() - 1]``.  The plan changes only speed.
 
     Flipping crossing t replaces its two arcs.  If they lay on two
     circles, the path of the second one is relabelled into the first and
@@ -391,39 +427,50 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     free_ess = len(d.free_loops) - free_triv
     if n == 0:
         return {(0, free_triv, free_ess): 1}
-    ident, seed = _label_circles(d, [1] * n)[:2]
+    c, s, order = _gray_plan(d)[:3]
+    h0, h2 = 4 * c, 4 * c + 2
+    signs = [1] * n
+    signs[c] = s
+    ident, seed = _label_circles(d, signs)[:2]
     parity = seed + [0] * (2 * n + 1 - len(seed))
     free = list(range(len(parity) - 1, len(seed) - 1, -1))
     partner = [h ^ 3 for h in range(4 * n)]
+    if s < 0:  # crossing c's - arcs
+        partner[h0 : h0 + 4] = [h0 + 1, h0, h2 + 1, h2]
     unit = (_TRIVIAL, _ESSENTIAL)  # key step per circle of parity 0, 1
-    key = seed.count(0) * _TRIVIAL + (len(seed) - seed.count(0)) * _ESSENTIAL
+    key = (s < 0) + seed.count(0) * _TRIVIAL + (len(seed) - seed.count(0)) * _ESSENTIAL
+    # the twin's arc from h0 closes a path from h0 that first comes back to c at `split`
+    split = h0 + (1 if s > 0 else 3)
+    near = [False] * (4 * n)
+    near[h0 : h0 + 4] = [True] * 4
+    slots = [0] + [4 * x for x in order]  # slots[b]: slot 0 of order[b - 1]
     counts: Dict[int, int] = {}
     for i in range(1, (1 << (n - 1)) + 1):
-        # the twin: crossing 0's + arcs are 0-3 and 1-2, its - arcs 0-1, 2-3
-        ia, ib = ident[0], ident[2]
+        # the twin: crossing c's arcs at s hold h0 and h2, one each
+        ia, ib = ident[h0], ident[h2]
         if ia != ib:  # two circles merge
             pa, pb = parity[ia], parity[ib]
-            k0 = key + 1 + unit[pa ^ pb] - unit[pa] - unit[pb]
-        else:  # one circle: read the path from 0 to crossing 0's next slot
+            k0 = key + s + unit[pa ^ pb] - unit[pa] - unit[pb]
+        else:  # one circle: read the path from h0 to crossing c's next slot
             par = 0
-            cur = 0
+            cur = h0
             while True:
                 m = mate[cur]
                 par ^= epar[cur]
-                if m < 4:
+                if near[m]:
                     break
                 cur = partner[m]
-            if m == 1:  # arc 0-1 closes the path into a circle of its own
+            if m == split:  # the twin's arc closes the path into a circle of its own
                 pa = parity[ia]
-                k0 = key + 1 + unit[par] + unit[pa ^ par] - unit[pa]
-            else:  # m == 2: the circle reconnects to itself
-                k0 = key + 1
+                k0 = key + s + unit[par] + unit[pa ^ par] - unit[pa]
+            else:  # m == h2: the circle reconnects to itself
+                k0 = key + s
         counts[key] = counts.get(key, 0) + 1
         counts[k0] = counts.get(k0, 0) + 1
-        t = (i & -i).bit_length()  # the crossing to flip
-        if t == n:  # every state of crossings 1 .. n - 1 is counted
+        b = (i & -i).bit_length()  # flip order[b - 1]
+        if b == n:  # every state of the other crossings is counted
             break
-        j = 4 * t
+        j = slots[b]
         if partner[j] == j + 3:  # + to -: arcs j-(j+1), (j+2)-(j+3)
             partner[j], partner[j + 1], partner[j + 2], partner[j + 3] = j + 1, j, j + 3, j + 2
             key += 1
@@ -435,7 +482,7 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
         ia, ib = ident[j], ident[j ^ 2]
         if ia != ib:
             # merge: ib's path runs from j ^ 2 round to nj, the other end
-            # of its old arc, through no arc of crossing t
+            # of its old arc, through no arc of crossing t = j >> 2
             cur = j ^ 2
             while True:
                 m = mate[cur]
@@ -475,15 +522,17 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     """Bracket via Gray-code enumeration with incremental circle updates.
 
-    Crossing 0 is held at ``+`` while one walk visits the 2^(n-1)
-    smoothings of crossings 1 .. n - 1, flipping one per step and
+    One crossing c is held at a sign s while one walk visits the
+    2^(n-1) smoothings of the others, flipping one per step and
     relabelling in place only the path whose circle changed.  At each
-    state the twin with crossing 0 at ``-`` is counted in closed form:
-    if crossing 0's ``+`` arcs lie on two circles, these merge; if on
-    one, a read-only walk from slot 0 comes back at slot 1 (a circle of
-    the walked parity splits off) or at slot 2 (the circle reconnects to
-    itself).  Crossing 0 never writes to the walk's tables.  The
-    value is memoised on the diagram under this route's own key.
+    state the twin with c at -s is counted in closed form: if c's arcs
+    at s lie on two circles, these merge; if on one, a read-only walk
+    from slot 0 comes back at the slot the twin's arc joins to slot 0,
+    1 at ``+`` and 3 at ``-`` (a circle of the walked parity splits
+    off), or at slot 2 (the circle reconnects to itself).  Crossing c
+    never writes to the walk's tables.  `_gray_plan` picks c, s and the
+    flip order (crossing 0, ``+`` and index order up to n = 8); the plan
+    changes only speed.  The value is memoised under this route's key.
     """
     _check_size(d)
     return d._cached("bracket:gray", lambda: _assemble(_gray_histogram(d)))

@@ -482,9 +482,10 @@ def twin_cases(d):
 
 
 class TestGrayOpenCrossing:
-    """The Gray walk, which holds crossing 0 at + and counts each state's
-    twin with crossing 0 at - in closed form, against a third evaluator:
-    `resolve` on every smoothing."""
+    """The Gray walk where no probe runs (n <= 8, every case here), so it
+    holds crossing 0 at + and counts each state's twin with crossing 0
+    at - in closed form, against a third evaluator: `resolve` on every
+    smoothing."""
 
     @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
     def test_random_diagrams(self, kind):
@@ -545,6 +546,94 @@ class TestGrayOpenCrossing:
         )
         assert (1, 1) in twin_cases(d)
         assert skein._gray_states(d) == resolved_histogram(d)
+
+
+def probe_tally(d):
+    """Per (crossing index, sign), the probe smoothings of `_gray_plan` in
+    which that crossing's arcs at that sign share a circle, each found by
+    labelling the smoothing with the crossing set to that sign; and per
+    crossing, the summed corner count of the circle through its slot 2."""
+    rng = random.Random(d.n)
+    order = d.half_edges().order
+    shared = {(c, s): 0 for c in range(d.n) for s in (1, -1)}
+    cost = [0] * d.n
+    for _ in range(min(2 * d.n, 2 ** (d.n - 1) // 256)):
+        signs = [rng.choice((1, -1)) for _ in range(d.n)]
+        for c in range(d.n):
+            for s in (1, -1):
+                ident = skein._label_circles(d, signs[:c] + [s] + signs[c + 1 :])[0]
+                shared[c, s] += ident[4 * c] == ident[4 * c + 2]
+        for corners, _ in state_circles(d, signs):
+            for c, cid in enumerate(order):
+                cost[c] += len(corners) if (cid, 2) in corners else 0
+    return shared, cost
+
+
+def probed_diagrams(kind):
+    """Diagrams of 9-13 crossings, where the Gray walk's probe runs."""
+    if kind == "closures":
+        return [random_closure(seed, (9, 10, 11, 12, 13)) for seed in range(40)]
+    return [d for family in FAMILIES for d in generate_family(family, 30, 3) if 9 <= d.n <= 13]
+
+
+class TestGrayPlan:
+    """Past n = 8 a probe picks the crossing the Gray walk holds, and its
+    sign, and the order it flips the others in.  The plan changes only
+    the walk's speed: every histogram must be the same under it."""
+
+    @pytest.mark.parametrize("kind", ("closures", "families"))
+    def test_probed_diagrams(self, kind):
+        holds = set()
+        for d in probed_diagrams(kind):
+            assert 9 <= d.n <= 13
+            c, s, order, _, probes = skein._gray_plan(d)
+            assert probes == min(2 * d.n, 2 ** (d.n - 1) // 256) > 0
+            assert sorted(order + [c]) == list(range(d.n))
+            holds.add((c, s))
+            hist = skein._gray_states(d)
+            assert hist == skein._plain_states(d)
+            if d.n <= 11:
+                assert hist == literal_histogram(d)
+        assert {s for _, s in holds} == {1, -1}
+        assert any(c for c, _ in holds)
+
+    @pytest.mark.parametrize("kind", ("closures", "families"))
+    def test_plan_follows_the_probe(self, kind):
+        for d in probed_diagrams(kind)[:12]:
+            shared, cost = probe_tally(d)
+            c, s, order, count, _ = skein._gray_plan(d)
+            # these diagrams are planar, so one labelling counts both signs
+            assert count == shared[c, s] == min(shared.values())
+            assert (c, s) == min((k for k, v in shared.items() if v == count), key=lambda k: (k[0], -k[1]))
+            assert order == sorted((x for x in range(d.n) if x != c), key=cost.__getitem__)
+
+    def test_plus_kink_never_shares_a_circle(self):
+        # a + kink's loop closes its 3-0 arc into a circle of its own, so
+        # its + arcs never share one, and no hold can beat that count
+        base = closure([(1, -2, 3)[i % 3] for i in range(11)], 4)
+        d = insert_r1(base, sorted(base.edge_parity)[0], sign=1)
+        (cid,) = set(d.crossings) - set(base.crossings)
+        kink = d.half_edges().order.index(cid)
+        shared, _ = probe_tally(d)
+        assert shared[kink, 1] == 0
+        c, s, _, count, probes = skein._gray_plan(d)
+        assert probes == 8
+        assert count == 0 == shared[c, s]
+        assert (c, s) == min((k for k, v in shared.items() if v == 0), key=lambda k: (k[0], -k[1]))
+        assert skein._gray_states(d) == skein._plain_states(d) == literal_histogram(d)
+        # listed first, the kink is the hold: the lowest index, at +
+        first = crossing_at(d, cid, 0)
+        assert skein._gray_plan(first)[:2] == (0, 1)
+        assert skein._gray_states(first) == skein._gray_states(d)
+
+    def test_no_probe_up_to_n_8(self):
+        for n in range(1, 9):
+            d = closure([(1, -2, 3)[i % 3] for i in range(n)], 4)
+            assert skein._gray_plan(d) == (0, 1, list(range(1, n)), 0, 0)
+        for seed in range(20):
+            d = random_diagram("maps", seed)
+            if 1 <= d.n <= 8:
+                assert skein._gray_plan(d) == (0, 1, list(range(1, d.n)), 0, 0)
 
 
 class TestMoves:

@@ -9,12 +9,15 @@ import sys
 
 import pytest
 
+from annulink import skein
+from annulink.diagram import from_braid_closure
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_states_prints_us_per_state_of_both_enumerators():
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "states.py"), "--sizes", "6", "--repeats", "1"],
+        [sys.executable, str(ROOT / "tools" / "states.py"), "--sizes", "6", "12", "--repeats", "1"],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
@@ -23,12 +26,18 @@ def test_states_prints_us_per_state_of_both_enumerators():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert list(result) == ["zigzag n=6"]
-    assert sorted(result["zigzag n=6"]) == ["gray", "plain"]
-    for route in result["zigzag n=6"].values():
-        assert sorted(route) == ["us_per_call", "us_per_state"]
-        assert route["us_per_call"] == pytest.approx(64 * route["us_per_state"], rel=0.01, abs=0.01)
-        assert route["us_per_state"] > 0
+    assert list(result) == ["zigzag n=6", "zigzag n=12"]
+    for n in (6, 12):
+        size = result["zigzag n=%d" % n]
+        assert sorted(size) == ["gray", "plain"]
+        held, sign, _, shared, probes = skein._gray_plan(from_braid_closure([(1, -2, 3)[i % 3] for i in range(n)], 4))
+        assert probes == {6: 0, 12: 8}[n]  # no probe up to n = 8
+        plan = {"held": held, "sign": "+" if sign > 0 else "-", "shared": shared, "probes": probes}
+        assert size["gray"].pop("plan") == plan
+        for route in size.values():
+            assert sorted(route) == ["us_per_call", "us_per_state"]
+            assert route["us_per_call"] == pytest.approx(2**n * route["us_per_state"], rel=0.01, abs=0.01)
+            assert route["us_per_state"] > 0
 
 
 def load_pairs():

@@ -10,9 +10,14 @@ memo or heap state carries over between sizes; inside it each
 enumerator runs ``--repeats`` times on a freshly built diagram, and the
 median wall time is reported per call and divided by the 2^n states.
 Below about n = 8 a call's set-up outweighs its states, which only the
-per-call figure shows.  The output is one JSON object:
+per-call figure shows.  Next to the Gray timings stands the plan the
+walk ran on (``skein._gray_plan``): the crossing it held, that
+crossing's smoothing, the probe smoothings in which its arcs shared a
+circle and the number of probes (0 up to n = 8, where crossing 0 is
+held at ``+``).  The output is one JSON object:
 ``{"zigzag n=14": {"plain": {"us_per_call": us, "us_per_state": us},
-"gray": {...}}, ...}``.
+"gray": {"us_per_call": us, "us_per_state": us, "plan": {"held": c,
+"sign": "+" or "-", "shared": count, "probes": R}}}, ...}``.
 """
 
 import argparse
@@ -44,6 +49,8 @@ def measure(n: int, repeats: int) -> dict:
             times.append(time.perf_counter() - start)
         us = 1e6 * statistics.median(times)
         out[name] = {"us_per_call": round(us, 2), "us_per_state": round(us / 2 ** n, 4)}
+    held, sign, _, shared, probes = skein._gray_plan(from_braid_closure(word, 4))
+    out["gray"]["plan"] = {"held": held, "sign": "+" if sign > 0 else "-", "shared": shared, "probes": probes}
     return out
 
 
