@@ -35,6 +35,9 @@ from .diagram import (
     insert_r1,
     insert_r2,
     mirror_diagram,
+    remove_r1,
+    remove_r2,
+    simplify,
 )
 from .laurent import DELTA, LaurentPoly
 from .skein import (
@@ -43,6 +46,7 @@ from .skein import (
     alpha,
     bracket,
     bracket_gray,
+    bracket_simplified,
     jones,
     resolve,
     state_circles,
@@ -78,6 +82,7 @@ __all__ = [
     "apply_full_twist",
     "bracket",
     "bracket_gray",
+    "bracket_simplified",
     "check_alternating_equality",
     "check_breadth_theorem",
     "check_breadth_upper",
@@ -98,7 +103,10 @@ __all__ = [
     "jones",
     "mirror_diagram",
     "profile",
+    "remove_r1",
+    "remove_r2",
     "resolve",
+    "simplify",
     "state_circles",
     "state_counts",
     "verify_all",

@@ -42,7 +42,7 @@ from .laurent import CoefficientSizeError
 from .skein import (
     MAX_CROSSINGS,
     BracketSizeError,
-    bracket_gray,
+    bracket_simplified,
     jones,
     resolve,
     writhe,
@@ -191,7 +191,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     name, d, _ = _load_target(args.diagram)
     orientation = _parse_orientation(args.orientation)
     try:
-        poly = bracket_gray(d)
+        poly = bracket_simplified(d)
     except BracketSizeError as exc:  # exit 3 here only: verify lets it raise
         return _fail(EXIT_CAP, str(exc))
     if args.mirror:

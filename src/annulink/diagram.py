@@ -36,19 +36,46 @@ crossing.
   as int cycles in trace order from there, so both come out in crossing
   order, slot by slot; ``eid[h]`` names the edge at half-edge h.
 
+The removal moves read faces off the same table.  A face is removable
+when it holds no boundary marker and its edges' parities sum to 0:
+
+* R1: a face with one corner h is a kink, its edge joining slots h + 1
+  and h of one crossing.  The crossing signs as +1 (bracket factor
+  -A^3) when h is odd and as -1 (factor -A^-3) when h is even, as
+  `insert_r1` builds them; since k+ + k- = k+ - k- (mod 2), removing
+  kinks of writhe dw scales the bracket by (-A^3)^dw in all.
+* R2: a face with two corners h1, h2 at two distinct crossings is a
+  bigon; it is removable when h1 and h2 differ in parity, so that each
+  of its edges joins slots of one parity and one strand passes over at
+  both crossings (a twist bigon, such as the wrap-around one of a
+  zigzag closure, fails this).
+
+Removing crossings rejoins each strand through them, by the walk step,
+into one edge whose parity is the sum of its stretch's (w ^ m ^ e for
+a strand's west, middle and east edges); a strand that meets no other
+crossing becomes a free loop of that parity.  A boundary marker on a
+removed crossing moves to the first surviving corner of its face, its
+face's region widened across strands that became free loops, and
+becomes ``UNBOUNDED`` when no crossing is left.  In a connected diagram
+a face without a marker is a disk, so each removal is an isotopy in the
+annulus; for any diagram the bracket identity holds, because the state
+sum sees only circles and their parities, and an even face makes the
+circle an R1 or R2 smoothing closes trivial.
+
 For every crossing-bearing connected component the traced map must
 satisfy V - E + F = 2, i.e. each component is a map on the 2-sphere;
 `validate` reports all violations as strings rather than raising.
 
 Builders return fresh immutable-by-convention diagrams; move
-generators (`insert_r1`, `insert_r2`) never mutate their input.
+generators (`insert_r1`, `insert_r2`, `remove_r1`, `remove_r2`,
+`simplify`) never mutate their input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import compress
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "MAX_SIZE",
@@ -59,6 +86,9 @@ __all__ = [
     "from_disk_pd",
     "insert_r1",
     "insert_r2",
+    "remove_r1",
+    "remove_r2",
+    "simplify",
     "apply_full_twist",
     "mirror_diagram",
 ]
@@ -610,6 +640,135 @@ def insert_r2(d: AnnularDiagram, edge1: str, edge2: str) -> AnnularDiagram:
     if bad:
         raise ValueError("finger move produced an invalid map: %s" % "; ".join(bad))
     return out
+
+
+def _removals(d: AnnularDiagram) -> List[Tuple[Set[int], int]]:
+    """(crossing indices, kink sign) of every removable face of ``d``, the
+    monogons and then the bigons, each in face order (R1 and R2 in the
+    module docstring); a bigon's sign is 0."""
+    t = d.half_edges()
+    ext = d.external_face_indices() or ()
+    faces = [f for k, f in enumerate(t.faces) if k not in ext and len(f) <= 2]
+    kinks = [({h >> 2}, 1 if h & 1 else -1) for h, *rest in faces if not rest and not t.epar[h]]
+    bigons = [
+        ({a >> 2, b >> 2}, 0)
+        for a, *rest in faces
+        for b in rest
+        if a >> 2 != b >> 2 and (a ^ b) & 1 and t.epar[a] == t.epar[b]
+    ]
+    return kinks + bigons
+
+
+def _excise(d: AnnularDiagram, gone: Set[int]) -> Optional[AnnularDiagram]:
+    """``d`` without the crossings of index in ``gone``, each strand through
+    them rejoined and each boundary marker on them moved (rules in the
+    module docstring); None when a marker finds no surviving corner.
+    A rejoined edge keeps the id of its lower surviving end's old edge.
+    Raises ValueError when a valid ``d`` gives an invalid map."""
+    t = d.half_edges()
+    mate, epar, eid = t.mate, t.epar, t.eid
+    cut = [h >> 2 in gone for h in range(len(mate))]
+    crossings = {c: slots for i, (c, slots) in enumerate(d.crossings.items()) if i not in gone}
+    parity = dict(d.edge_parity)
+    for h in compress(range(len(mate)), cut):
+        parity.pop(eid[h], None)
+    loops = list(d.free_loops)
+    walked = [False] * len(mate)  # a cut half-edge on a rejoined strand or a new loop
+    free = [False] * len(mate)  # a cut half-edge on a new loop
+    for g, h in enumerate(mate):
+        if cut[g] or not cut[h] or walked[h]:
+            continue
+        par = epar[g]
+        while cut[h]:
+            walked[h] = walked[h ^ 2] = True
+            h ^= 2
+            par ^= epar[h]
+            h = mate[h]
+        parity[eid[g]] = par
+        _rewire(crossings, t, h, eid[g])
+    for h0 in compress(range(len(mate)), cut):
+        if walked[h0]:
+            continue
+        par, h = 0, h0
+        while not walked[h]:
+            walked[h] = walked[h ^ 2] = free[h] = free[h ^ 2] = True
+            par ^= epar[h ^ 2]
+            h = mate[h ^ 2]
+        loops.append(par)
+
+    external: List[Designator] = []
+    for ref in d.external:
+        if not crossings:
+            ref = UNBOUNDED
+        elif ref != UNBOUNDED and ref[0] not in crossings:
+            h = _surviving_corner(t, cut, free, 4 * t.order.index(ref[0]) + ref[1])
+            if h is None:
+                return None
+            ref = (t.order[h >> 2], h & 3)
+        external.append(ref)
+    out = AnnularDiagram(crossings, parity, loops, (external[0], external[1]))
+    bad = out.validate()
+    if bad and not d.validate():
+        raise ValueError("removal produced an invalid map: %s" % "; ".join(bad))
+    return out
+
+
+def _surviving_corner(t: HalfEdges, cut: List[bool], free: List[bool], h: int) -> Optional[int]:
+    """The first corner at a surviving crossing reached from corner h by
+    face steps, or across an edge of a new free loop (corner h leaves
+    by half-edge g, across whose edge lies corner g); None if none is."""
+    queue, seen = [h], {h}
+    for h in queue:
+        if not cut[h]:
+            return h
+        g = (h & ~3) | ((h + 1) & 3)
+        for nxt in (t.mate[g], g) if free[g] else (t.mate[g],):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return None
+
+
+def _remove(d: AnnularDiagram, ids: Sequence[str], move: str) -> AnnularDiagram:
+    """`_excise` of the removable face at the crossings ``ids``, all distinct."""
+    order = d.half_edges().order
+    gone = {order.index(c) for c in ids if c in d.crossings}
+    if len(gone) == len(ids) and any(face == gone for face, _ in _removals(d)):
+        out = _excise(d, gone)
+        if out is not None:
+            return out
+    raise ValueError("no removable %s at %s" % (move, ", ".join(map(repr, ids))))
+
+
+def remove_r1(d: AnnularDiagram, crossing: str) -> AnnularDiagram:
+    """Remove the kink at ``crossing``, the inverse of `insert_r1` (rule R1
+    in the module docstring).  Raises ValueError when no removable
+    monogon sits there."""
+    return _remove(d, [crossing], "kink")
+
+
+def remove_r2(d: AnnularDiagram, c1: str, c2: str) -> AnnularDiagram:
+    """Remove the bigon between ``c1`` and ``c2``, the inverse of
+    `insert_r2` (rule R2 in the module docstring).  Raises ValueError
+    when no removable bigon joins them."""
+    return _remove(d, [c1, c2], "bigon")
+
+
+def simplify(d: AnnularDiagram) -> Tuple[AnnularDiagram, int]:
+    """(diagram, dw): ``d`` with kinks removed, then bigons, the lowest
+    removable face first, until none is left, and dw the writhe of the
+    removed kinks, so that <d> = (-A^3)^dw <diagram> (rules R1 and R2 in
+    the module docstring).  A diagram with no removable face is
+    returned as it is, cached tables and all."""
+    dw = 0
+    while True:
+        for gone, sign in _removals(d):
+            out = _excise(d, gone)
+            if out is not None:
+                d, dw = out, dw + sign
+                break
+        else:
+            return d, dw
 
 
 def apply_full_twist(word: Sequence[int], strands: int, sign: int = 1) -> List[int]:

@@ -23,12 +23,21 @@ unknot to delta, a single essential circle to 0.
 Every routine here walks the diagram's cached `half_edges` table; the
 half-edge numbering and its step rules are stated once, in `diagram`.
 
-`bracket_gray` is the route used in production: a Gray-code walk over
-all crossings but a held one that relabels in place only the path a
-flip changed, counting each state with its twin, the held crossing
-flipped, in closed form: a merge, a split or a reconnection.  Past
-n = 8 a probe of a few smoothings plans which crossing it holds and
-which it flips most often (`_gray_plan`); the plan changes only speed.
+`bracket_simplified` is the route used in production, by the CLI's
+`bracket` and by `jones`: `bracket_gray` of ``simplify(d)``, which has
+shed its kinks and removable bigons (the rules are stated in
+`diagram`), times (-A^3)^dw for the writhe dw of the removed kinks.
+Each removed crossing halves the walk; a reduced diagram walks as
+given.  `verify_all` and direct calls of `bracket_gray` and `bracket`
+evaluate the diagram exactly as given, so the two routes are held to
+the user's diagram.
+
+`bracket_gray` is a Gray-code walk over all crossings but a held one
+that relabels in place only the path a flip changed, counting each
+state with its twin, the held crossing flipped, in closed form: a
+merge, a split or a reconnection.  Past n = 8 a probe of a few
+smoothings plans which crossing it holds and which it flips most
+often (`_gray_plan`); the plan changes only speed.
 `bracket` enumerates the states independently and is its oracle: the two
 must always agree and are never merged.  It runs one trace loop twice:
 over the smoothings of all but the last three crossings, each traced
@@ -40,8 +49,8 @@ its held crossing from live circle ids, so the routes share no step.  Each
 route memoises its histogram and its value on the diagram under keys of
 its own, so a diagram is evaluated at most once per route and neither
 route can read the other's result.
-Both refuse diagrams with more than MAX_CROSSINGS crossings rather
-than start a hopeless enumeration.
+All three refuse diagrams with more than MAX_CROSSINGS crossings,
+counted as given, rather than start a hopeless enumeration.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import math
 import random
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .diagram import AnnularDiagram
+from .diagram import AnnularDiagram, simplify
 from .laurent import LaurentPoly, delta_power
 
 __all__ = [
@@ -63,6 +72,7 @@ __all__ = [
     "flip_counts",
     "bracket",
     "bracket_gray",
+    "bracket_simplified",
     "writhe",
     "jones",
 ]
@@ -543,6 +553,28 @@ def _gray_histogram(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     return d._cached("states:gray", lambda: _gray_states(d))
 
 
+def bracket_simplified(d: AnnularDiagram) -> LaurentPoly:
+    """The bracket that CLI `bracket` prints and `jones` rescales:
+    `bracket_gray` of ``simplify(d)``, whose kinks and removable bigons
+    are gone, times (-A^3)^dw for the writhe dw of the removed kinks
+    (rules in `diagram`).  A reduced diagram walks exactly as
+    `bracket_gray(d)` does.  The size cap reads ``d`` as given, and the
+    value is memoised on it under this route's own key."""
+    _check_size(d)
+
+    def evaluate() -> LaurentPoly:
+        reduced, dw = simplify(d)
+        return _kink_factor(bracket_gray(reduced), dw)
+
+    return d._cached("bracket:simplified", evaluate)
+
+
+def _kink_factor(poly: LaurentPoly, k: int) -> LaurentPoly:
+    """``poly`` times (-A^3)^k."""
+    scaled = poly.shift(3 * k)
+    return -scaled if k % 2 else scaled
+
+
 # -- orientation-dependent quantities ----------------------------------------
 
 
@@ -585,6 +617,4 @@ def jones(
     that already holds ``writhe(d, orientation)`` passes it as ``w``."""
     if w is None:
         w = writhe(d, orientation)
-    poly = bracket_gray(d)
-    scaled = poly.shift(-3 * w)
-    return scaled if w % 2 == 0 else -scaled
+    return _kink_factor(bracket_simplified(d), -w)

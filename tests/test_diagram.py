@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annulink.analysis import is_in_disk, z2_class
+from annulink.analysis import is_in_disk, profile, z2_class
+from annulink.corpus import get
 from annulink.diagram import (
     UNBOUNDED,
     AnnularDiagram,
+    _removals,
     apply_full_twist,
     from_braid_closure,
     from_disk_pd,
@@ -17,9 +19,14 @@ from annulink.diagram import (
     insert_r1,
     insert_r2,
     mirror_diagram,
+    remove_r1,
+    remove_r2,
+    simplify,
 )
-from annulink.generate import FAMILIES, generate_family
+from annulink.generate import FAMILIES, generate_family, r_move_perturbations
+from annulink.laurent import LaurentPoly
 from annulink.skein import bracket_gray, writhe
+from test_analysis import random_diagram
 
 words = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=8
@@ -271,3 +278,143 @@ class TestValidation:
         assert closure(word, 4).validate() == []
         for i in range(len(loops)):
             assert insert_r1(from_free_loops(loops), i, sign).validate() == []
+
+
+def engine_cases():
+    """(label, diagram) for the move engine: three seeds of every
+    generated family at n <= 12, and 30 seeds each of the random
+    closures, kinked closures, free-loop diagrams and random maps (any
+    pairing of slots, planar or not) of `test_analysis.random_diagram`."""
+    for family, seed in itertools.product(FAMILIES, range(3)):
+        for k, d in enumerate(generate_family(family, 12, seed)):
+            if d.n <= 12:
+                yield "%s/%d/%d" % (family, seed, k), d
+    for kind, seed in itertools.product(("annulus", "disk", "kinks", "loops", "maps"), range(30)):
+        yield "%s/%d" % (kind, seed), random_diagram(kind, seed)
+
+
+def new_crossings(before, after):
+    return sorted(set(after.crossings) - set(before.crossings))
+
+
+def braid_word(recipe):
+    head, body = recipe.split(":")
+    return [int(tok.replace("s", "")) for tok in body.split()], int(head.split()[1])
+
+
+class TestRemoval:
+    def test_simplify_keeps_validity_class_disk_and_components(self):
+        removed = 0
+        for label, d in engine_cases():
+            s, _ = simplify(d)
+            removed += d.n - s.n
+            assert z2_class(s) == z2_class(d), label
+            assert s.component_count() == d.component_count(), label
+            if d.validate() == []:
+                assert s.validate() == [], label
+                assert is_in_disk(s) == is_in_disk(d), label
+        assert removed > 100
+
+    def test_simplify_leaves_no_removable_face(self):
+        for label, d in engine_cases():
+            s, _ = simplify(d)
+            assert simplify(s) == (s, 0), label
+
+    def test_a_reduced_diagram_comes_back_as_it_is(self):
+        d = closure([1, -2, 3] * 6)
+        assert _removals(d) == []
+        assert simplify(d)[0] is d
+
+    def test_zigzag_wrap_around_bigon_is_a_twist(self):
+        # the 16-crossing zigzag's last s1 meets its first across the wrap,
+        # past a far-commuting s3; both edges of that bigon join an under
+        # slot to an over slot
+        d = closure([1, -2, 3] * 5 + [1])
+        t = d.half_edges()
+        bigons = [f for f in t.faces if len(f) == 2 and f[0] >> 2 != f[1] >> 2]
+        assert bigons and all((a ^ b) & 1 == 0 for a, b in bigons)
+        assert simplify(d) == (d, 0)
+
+    def test_r2_round_trip(self):
+        # every shared face pair of the braid words of 1-2 letters on 2
+        # and 3 strands, in the annulus and in a disk
+        trips = 0
+        for strands in (2, 3):
+            letters = [g for i in range(1, strands) for g in (i, -i)]
+            for word in itertools.chain.from_iterable(itertools.product(letters, repeat=k) for k in (1, 2)):
+                for disk in (False, True):
+                    d = closure(word, strands, disk=disk)
+                    t = d.half_edges()
+                    shared = {pair for f in t.faces for pair in itertools.permutations({t.eid[h] for h in f}, 2)}
+                    for e1, e2 in sorted(shared):
+                        moved = insert_r2(d, e1, e2)
+                        back = remove_r2(moved, *new_crossings(d, moved))
+                        assert back.validate() == []
+                        assert back.n == d.n
+                        assert bracket_gray(back) == bracket_gray(d)
+                        assert profile(back) == profile(d)
+                        trips += 1
+        assert trips > 200
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_r1_round_trip(self, sign):
+        factor = LaurentPoly.parse("-A^3" if sign > 0 else "-A^-3")
+        for label, d in engine_cases():
+            if d.validate() or d.n > 8:
+                continue
+            targets = sorted(d.edge_parity)[:2] + list(range(min(len(d.free_loops), 2)))
+            for target in targets:
+                kinked = insert_r1(d, target, sign=sign)
+                (x,) = new_crossings(d, kinked)
+                back = remove_r1(kinked, x)
+                assert back.validate() == [], label
+                assert back.n == d.n, label
+                assert bracket_gray(kinked) == factor * bracket_gray(back), label
+                assert profile(back) == profile(d), label
+
+    def test_a_kinked_free_loop_goes_back_to_a_free_loop(self):
+        for loops in KINKED_LOOPS:
+            d = from_free_loops(loops)
+            kinked = insert_r1(d, 0, sign=-1)
+            back = remove_r1(kinked, "x1")
+            assert back.external == (UNBOUNDED, UNBOUNDED)
+            assert sorted(back.free_loops) == sorted(loops)
+
+    def test_removers_refuse_what_is_not_a_removable_face(self):
+        d = closure([1, -2, 1, -2], 3)
+        with pytest.raises(ValueError, match="no removable bigon"):
+            remove_r2(d, "x1", "x3")  # a twist bigon
+        with pytest.raises(ValueError, match="no removable bigon"):
+            remove_r2(d, "x1", "x1")
+        with pytest.raises(ValueError, match="no removable kink"):
+            remove_r1(d, "x1")
+        with pytest.raises(ValueError, match="no removable kink"):
+            remove_r1(d, "x9")
+        # the one-crossing closure of s1 on two strands: its bigon-free
+        # faces hold the boundary markers, so nothing comes off
+        one = closure([1], 2)
+        assert simplify(one) == (one, 0)
+
+    def test_a_marked_face_stays(self):
+        # kink the one-crossing disk closure's edge, then mark the kink's
+        # monogon as the outer face: it can no longer be removed
+        d = closure([1, 1, 1], 2, disk=True)
+        kinked = insert_r1(d, sorted(d.edge_parity)[0], sign=1)
+        (x,) = new_crossings(d, kinked)
+        assert remove_r1(kinked, x).n == d.n
+        marked = AnnularDiagram(kinked.crossings, kinked.edge_parity, (), ((x, 3), (x, 3)))
+        with pytest.raises(ValueError, match="no removable kink"):
+            remove_r1(marked, x)
+
+    def test_r_move_perturbations_simplify_to_their_base(self):
+        base = from_braid_closure([1, 1, 1], 2, disk=True)
+        for seed in range(20):
+            for d in r_move_perturbations(10, seed):
+                s, _ = simplify(d)
+                assert s.n == 3 and profile(s) == profile(base)
+
+    def test_fig5_right_is_a_full_twist_of_fig5_left(self):
+        left, strands = braid_word(get("fig5_left").recipe)
+        right, right_strands = braid_word(get("fig5_right").recipe)
+        assert right_strands == strands
+        assert apply_full_twist(left, strands) == right

@@ -1,7 +1,9 @@
 """State sums: counting rule, bracket routes, moves, writhe scaling."""
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -18,8 +20,11 @@ from annulink.diagram import (
     from_free_loops,
     insert_r1,
     insert_r2,
+    _removals,
     mirror_diagram,
+    simplify,
 )
+from annulink.diagfile import parse_recipe
 from annulink.generate import FAMILIES, generate_family
 from annulink.laurent import DELTA, ONE, ZERO, LaurentPoly
 from annulink.skein import (
@@ -29,6 +34,7 @@ from annulink.skein import (
     alpha_walk_oracle,
     bracket,
     bracket_gray,
+    bracket_simplified,
     jones,
     resolve,
     state_circles,
@@ -36,6 +42,7 @@ from annulink.skein import (
 )
 from annulink.theorems import FAIL, PASS, verify_all
 from test_analysis import random_diagram, random_map
+from test_diagram import engine_cases
 
 
 def closure(word, strands, disk=False):
@@ -670,6 +677,59 @@ class TestMoves:
             base = bracket(closure(word, strands))
             twisted = bracket(closure(apply_full_twist(word, strands), strands))
             assert twisted.breadth() == base.breadth()
+
+
+def kink_factor(dw):
+    """(-A^3)^dw."""
+    return LaurentPoly({3 * dw: -1 if dw % 2 else 1})
+
+
+def load_perfbench_inputs():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSimplifiedBracket:
+    """`bracket_simplified`, the printed bracket, walks ``simplify(d)``;
+    the plain oracle reads d as given."""
+
+    def test_plain_on_the_diagram_equals_gray_on_its_simplification(self):
+        for label, d in engine_cases():
+            s, dw = simplify(d)
+            assert bracket(d) == kink_factor(dw) * bracket_gray(s), label
+            assert bracket_simplified(d) == bracket(d), label
+
+    def test_bracket_large_inputs(self):
+        # every braid6 pool member loses its two bigons, then the bigons
+        # they uncover, down to 9 crossings; the zigzags have none
+        inputs = load_perfbench_inputs()
+        for p in range(inputs.POOL):
+            d = parse_recipe(inputs.bracket_recipe("braid6", 17, p))
+            assert [sign for _, sign in _removals(d)] == [0, 0]
+            assert simplify(d)[0].n == 9
+        for n in (16, 18):
+            d = parse_recipe(inputs.bracket_recipe("zigzag", n, 0))
+            assert simplify(d)[0] is d
+
+    def test_a_reduced_diagram_walks_as_given(self, monkeypatch):
+        walked = []
+        gray_states = skein._gray_states
+        monkeypatch.setattr(skein, "_gray_states", lambda d: walked.append(d) or gray_states(d))
+        d = closure([1, -2, 3] * 3, 4)
+        assert bracket_simplified(d) == bracket(d)
+        assert len(walked) == 1 and walked[0] is d
+        e = closure([1, -1, 2, 2, 2], 3)  # s1 -s1 cancel
+        assert bracket_simplified(e) == bracket(e)
+        assert walked[1].n == 3
+
+    def test_size_cap_reads_the_diagram_as_given(self):
+        d = closure([1, -1] * (MAX_CROSSINGS // 2 + 1), 2)
+        assert simplify(d)[0].n == 0
+        with pytest.raises(BracketSizeError):
+            bracket_simplified(d)
 
 
 class TestWritheJones:

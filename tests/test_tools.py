@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -188,3 +189,42 @@ def test_pairs_bad_base_prints_gits_message_and_leaves_no_temp_dir(tmp_path, mon
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "fatal: invalid reference: no-such-ref" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pairs_prints_each_op_keys_median_latency_per_side(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    names = ("setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {name: {"value": 1.0} for name in names}}
+    base, change = tmp_path / "base", tmp_path / "change"
+    for tree in (base, change):
+        tree.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+    latency = {str(base): {"slow/1/0": [10.0, 30.0, 20.0], "fast/2/0": [1.0]},
+               str(change): {"slow/1/0": [2.0, 4.0, 3.0], "fast/2/0": [1.5]}}
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[1].endswith("inputs.py"):
+            os.makedirs(cmd[cmd.index("--out") + 1])
+            return subprocess.CompletedProcess(cmd, 0, json.dumps({"setup_s": 0.5}) + "\n", "")
+        records = os.path.join(cwd, ".perfbench", "records")
+        os.makedirs(records, exist_ok=True)
+        with open(os.path.join(records, "bracket-large-seed3-trace0.json"), "w") as fh:
+            json.dump({"latency_ms": latency[cwd]}, fh)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(pairs, "ROOT", str(change))
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    assert pairs.main(["--base-tree", str(base), "--workload", "bracket-large", "--seed", "3",
+                       "--pairs", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(printed) if line.startswith("op key (p50 ms)"))
+    assert [line.split() for line in printed[start + 1:]] == [
+        ["slow/1/0", "20", "3", "0.150", "2/2"],
+        ["fast/2/0", "1", "1.5", "1.500", "0/2"],
+    ]
+    record = json.loads(out.read_text())
+    assert record["pairs"][0]["change"]["key_p50_ms"] == {"slow/1/0": 3.0, "fast/2/0": 1.5}
+    # a tree with no record times no key, and the block is left out
+    assert pairs.key_latencies(str(tmp_path), "bracket-large", 3) == {}
+    assert pairs.key_summary([{"parent": run(1, 1), "change": run(1, 1)}]) == []

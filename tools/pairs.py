@@ -27,6 +27,10 @@ therefore also runs ``perfbench/inputs.py`` once per tree in fresh
 interpreters, in the pair's order, and prints both set-up times and
 whether the two trees wrote byte-identical inputs; a final block gives
 their medians, ratio, the pairs the change won and the identical count.
+Last comes one line per op key: each side's median latency, read from
+the record every perfbench child writes under ``.perfbench/records/``,
+as the median over pairs, with the change/parent ratio and the pairs
+the change won, so that a change that moves one slot shows which.
 ``--out`` writes every run to a JSON file.
 
 A perfbench or set-up child that exits non-zero or times out stops the
@@ -66,9 +70,44 @@ def _child(tree: str, args: List[str], timeout: float) -> dict:
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``tree``; its JSON result line."""
-    return _child(tree, [os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
-                         "--seconds", str(seconds), "--trace", "0"], seconds * 4 + 300)
+    """One perfbench run in ``tree``: its JSON result line, with the
+    median latency of each op key under ``key_p50_ms``."""
+    result = _child(tree, [os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"], seconds * 4 + 300)
+    result["key_p50_ms"] = key_latencies(tree, workload, seed)
+    return result
+
+
+def key_latencies(tree: str, workload: str, seed: int) -> Dict[str, float]:
+    """Op key -> median latency (ms) in the record of the last untraced
+    perfbench run of ``workload`` and ``seed`` in ``tree``; empty when
+    there is no such record."""
+    path = os.path.join(tree, ".perfbench", "records", "%s-seed%d-trace0.json" % (workload, seed))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            latency = json.load(fh)["latency_ms"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {key: statistics.median(ms) for key, ms in latency.items() if ms}
+
+
+def key_summary(runs: List[Dict[str, dict]]) -> List[str]:
+    """One line per op key that every run timed: the median over pairs
+    of each side's median latency, their ratio and the pairs the change
+    won; no lines when no key was timed on both sides."""
+    sides = [r[who].get("key_p50_ms", {}) for r in runs for who in ("parent", "change")]
+    keys = [key for key in sides[0] if all(key in side for side in sides)]
+    if not keys:
+        return []
+    lines = ["%-24s %12s %12s %7s %5s" % ("op key (p50 ms)", "parent", "change", "ratio", "won")]
+    for key in keys:
+        base = [r["parent"]["key_p50_ms"][key] for r in runs]
+        new = [r["change"]["key_p50_ms"][key] for r in runs]
+        mb, mc = statistics.median(base), statistics.median(new)
+        won = sum(1 for b, c in zip(base, new) if c < b)
+        lines.append("%-24s %12.6g %12.6g %7.3f %2d/%-2d" % (key, mb, mc, mc / mb if mb else float("nan"),
+                                                             won, len(runs)))
+    return lines
 
 
 def run_setup(tree: str, workload: str, seed: int, out: str) -> float:
@@ -216,6 +255,10 @@ def main(argv=None) -> int:
         print("\n".join(summary(runs, manifest)))
         print()
         print("\n".join(setup_summary([r["setup"] for r in runs])))
+        keys = key_summary(runs)
+        if keys:
+            print()
+            print("\n".join(keys))
     ok = failure is None and all(r["parent"]["correct"] and r["change"]["correct"] for r in runs)
     return 0 if ok else 1
 
