@@ -202,7 +202,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
             w = writhe(d, orientation)
         except ValueError as exc:  # an orientation that does not fit the diagram
             raise DiagramFormatError(0, str(exc)) from exc
-        j = jones(d, orientation, w=w)
+        j = jones(d, orientation)
         if args.mirror:
             j, w = j.mirror(), -w
         rows += [("writhe", str(w)), ("jones", str(j))]

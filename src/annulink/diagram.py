@@ -50,17 +50,18 @@ when it holds no boundary marker and its edges' parities sum to 0:
   both crossings (a twist bigon, such as the wrap-around one of a
   zigzag closure, fails this).
 
-Removing crossings rejoins each strand through them, by the walk step,
-into one edge whose parity is the sum of its stretch's (w ^ m ^ e for
-a strand's west, middle and east edges); a strand that meets no other
-crossing becomes a free loop of that parity.  A boundary marker on a
-removed crossing moves to the first surviving corner of its face, its
-face's region widened across strands that became free loops, and
-becomes ``UNBOUNDED`` when no crossing is left.  In a connected diagram
-a face without a marker is a disk, so each removal is an isotopy in the
-annulus; for any diagram the bracket identity holds, because the state
-sum sees only circles and their parities, and an even face makes the
-circle an R1 or R2 smoothing closes trivial.
+Removing crossings rejoins each stretch of a strand walk between two
+surviving arrivals into one edge whose parity is the sum of its
+stretch's (w ^ m ^ e for a strand's west, middle and east edges); a
+walk with no surviving arrival becomes a free loop of its parity.  A
+boundary marker on a removed crossing moves to the first surviving
+corner of its face, its face's region widened across strands that
+became free loops, and becomes ``UNBOUNDED`` when no crossing is left.
+In a connected diagram a face without a marker is a disk, so each
+removal is an isotopy in the annulus; for any diagram the bracket
+identity holds, because the state sum sees only circles and their
+parities, and an even face makes the circle an R1 or R2 smoothing
+closes trivial.
 
 For every crossing-bearing connected component the traced map must
 satisfy V - E + F = 2, i.e. each component is a map on the 2-sphere;
@@ -662,39 +663,33 @@ def _removals(d: AnnularDiagram) -> List[Tuple[Set[int], int]]:
 def _excise(d: AnnularDiagram, gone: Set[int]) -> Optional[AnnularDiagram]:
     """``d`` without the crossings of index in ``gone``, each strand through
     them rejoined and each boundary marker on them moved (rules in the
-    module docstring); None when a marker finds no surviving corner.
-    A rejoined edge keeps the id of its lower surviving end's old edge.
-    Raises ValueError when a valid ``d`` gives an invalid map."""
+    module docstring); None when a marker finds no surviving corner, or
+    when a disconnected ``d``, whose cut parities `validate` cannot
+    check, gives a map that fails `validate`.  A rejoined edge keeps the
+    id of its lower surviving end's old edge.  Raises ValueError when
+    any other valid ``d`` gives an invalid map."""
     t = d.half_edges()
-    mate, epar, eid = t.mate, t.epar, t.eid
-    cut = [h >> 2 in gone for h in range(len(mate))]
+    epar, eid = t.epar, t.eid
+    cut = [h >> 2 in gone for h in range(len(epar))]
     crossings = {c: slots for i, (c, slots) in enumerate(d.crossings.items()) if i not in gone}
     parity = dict(d.edge_parity)
-    for h in compress(range(len(mate)), cut):
+    for h in compress(range(len(cut)), cut):
         parity.pop(eid[h], None)
     loops = list(d.free_loops)
-    walked = [False] * len(mate)  # a cut half-edge on a rejoined strand or a new loop
-    free = [False] * len(mate)  # a cut half-edge on a new loop
-    for g, h in enumerate(mate):
-        if cut[g] or not cut[h] or walked[h]:
+    free = [False] * len(cut)  # a cut half-edge on a new loop
+    for walk in t.walks:
+        ends = [i for i, h in enumerate(walk) if not cut[h]]  # its surviving arrivals
+        if not ends:
+            loops.append(sum(epar[h] for h in walk) & 1)
+            for h in walk:
+                free[h] = free[h ^ 2] = True
             continue
-        par = epar[g]
-        while cut[h]:
-            walked[h] = walked[h ^ 2] = True
-            h ^= 2
-            par ^= epar[h]
-            h = mate[h]
-        parity[eid[g]] = par
-        _rewire(crossings, t, h, eid[g])
-    for h0 in compress(range(len(mate)), cut):
-        if walked[h0]:
-            continue
-        par, h = 0, h0
-        while not walked[h]:
-            walked[h] = walked[h ^ 2] = free[h] = free[h ^ 2] = True
-            par ^= epar[h ^ 2]
-            h = mate[h ^ 2]
-        loops.append(par)
+        ring = walk + walk[: ends[0] + 1]
+        for a, b in zip(ends, ends[1:] + [ends[0] + len(walk)]):
+            if b > a + 1:  # the stretch from departure a to arrival b passes cut crossings
+                lo, hi = sorted((ring[a] ^ 2, ring[b]))
+                parity[eid[lo]] = sum(epar[h] for h in ring[a + 1 : b + 1]) & 1
+                _rewire(crossings, t, hi, eid[lo])
 
     external: List[Designator] = []
     for ref in d.external:
@@ -709,6 +704,8 @@ def _excise(d: AnnularDiagram, gone: Set[int]) -> Optional[AnnularDiagram]:
     out = AnnularDiagram(crossings, parity, loops, (external[0], external[1]))
     bad = out.validate()
     if bad and not d.validate():
+        if len(set(t.comp)) > 1:
+            return None
         raise ValueError("removal produced an invalid map: %s" % "; ".join(bad))
     return out
 
@@ -756,10 +753,12 @@ def remove_r2(d: AnnularDiagram, c1: str, c2: str) -> AnnularDiagram:
 
 def simplify(d: AnnularDiagram) -> Tuple[AnnularDiagram, int]:
     """(diagram, dw): ``d`` with kinks removed, then bigons, the lowest
-    removable face first, until none is left, and dw the writhe of the
-    removed kinks, so that <d> = (-A^3)^dw <diagram> (rules R1 and R2 in
-    the module docstring).  A diagram with no removable face is
-    returned as it is, cached tables and all."""
+    removable face first, until `_excise` refuses each face left (it
+    would strand a boundary marker, or break cut parities a disconnected
+    ``d`` left unchecked), and dw the writhe of the removed kinks, so
+    that <d> = (-A^3)^dw <diagram> (rules R1 and R2 in the module
+    docstring).  A diagram with no removable face is returned as it is,
+    cached tables and all."""
     dw = 0
     while True:
         for gone, sign in _removals(d):

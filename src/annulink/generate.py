@@ -117,16 +117,16 @@ def parallel_cores(k: int) -> AnnularDiagram:
 
 
 def _random_r2(rng: random.Random, d: AnnularDiagram) -> Optional[AnnularDiagram]:
+    """A finger move between the edges of two corners of a random face,
+    or None when no face has two corners.  The two edges differ: in a
+    planar map an edge with one face on both sides is a bridge, and a
+    4-valent graph has none."""
     t = d.half_edges()
     faces = [f for f in t.faces if len(f) >= 2]
     if not faces:
         return None
-    for _ in range(20):
-        h1, h2 = rng.sample(rng.choice(faces), 2)
-        e1, e2 = t.eid[h1], t.eid[h2]
-        if e1 != e2:
-            return insert_r2(d, e1, e2)
-    return None
+    h1, h2 = rng.sample(rng.choice(faces), 2)
+    return insert_r2(d, t.eid[h1], t.eid[h2])
 
 
 def r_move_perturbations(

@@ -606,15 +606,7 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
     return sum(1 if u == (v - 1) & 3 else -1 for u, v in zip(exits[::2], exits[1::2]))
 
 
-def jones(
-    d: AnnularDiagram,
-    orientation: Union[Sequence[int], None] = None,
-    *,
-    w: Union[int, None] = None,
-) -> LaurentPoly:
+def jones(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) -> LaurentPoly:
     """Bracket rescaled by (-A^3)^(-writhe), which is unchanged by
-    kink insertion and the other moves that preserve the link.  A caller
-    that already holds ``writhe(d, orientation)`` passes it as ``w``."""
-    if w is None:
-        w = writhe(d, orientation)
-    return _kink_factor(bracket_simplified(d), -w)
+    kink insertion and the other moves that preserve the link."""
+    return _kink_factor(bracket_simplified(d), -writhe(d, orientation))

@@ -11,6 +11,7 @@ from annulink.corpus import get
 from annulink.diagram import (
     UNBOUNDED,
     AnnularDiagram,
+    _excise,
     _removals,
     apply_full_twist,
     from_braid_closure,
@@ -40,6 +41,12 @@ KINKED_LOOPS = ([1], [0], [1, 1], [1, 0], [0, 1], [1, 1, 1])
 
 def closure(word, strands=4, disk=False):
     return from_braid_closure(word, strands, disk=disk)
+
+
+def braid_words(strands, lengths):
+    """Every braid word on ``strands`` strands whose length is in ``lengths``."""
+    letters = [g for i in range(1, strands) for g in (i, -i)]
+    return itertools.chain.from_iterable(itertools.product(letters, repeat=k) for k in lengths)
 
 
 class TestBuilders:
@@ -73,6 +80,11 @@ class TestBuilders:
         d = from_disk_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
         assert d.n == 3
         assert d.validate() == []
+
+    def test_disk_pd_edge_cases(self):
+        assert from_disk_pd([]) == from_free_loops([])
+        with pytest.raises(ValueError, match="PD entry 2 has 3 labels"):
+            from_disk_pd([(1, 2, 2, 1), (3, 4, 3)])
 
     @given(words, st.sampled_from([2, 3, 4]))
     @settings(max_examples=80)
@@ -163,10 +175,7 @@ class TestMoves:
         # the annulus and in a disk: 196 diagrams, 3,160 ordered pairs
         diagrams = pairs = 0
         for strands in (2, 3):
-            letters = [g for i in range(1, strands) for g in (i, -i)]
-            for word in itertools.chain.from_iterable(
-                itertools.product(letters, repeat=k) for k in (1, 2, 3)
-            ):
+            for word in braid_words(strands, (1, 2, 3)):
                 for disk in (False, True):
                     d = closure(word, strands, disk=disk)
                     diagrams += 1
@@ -193,6 +202,19 @@ class TestMoves:
         d2 = insert_r2(d, e1, e2)
         assert d2.n == d.n + 2
         assert d2.validate() == []
+
+    def test_bad_move_arguments_raise_value_error(self):
+        d = closure([1, -2], 3)  # e1 and e3 each bound a monogon and share no face
+        with pytest.raises(ValueError, match="sign must be"):
+            insert_r1(d, "e0", sign=0)
+        with pytest.raises(ValueError, match="unknown edge 'e9'"):
+            insert_r1(d, "e9")
+        with pytest.raises(ValueError, match="two distinct edges"):
+            insert_r2(d, "e0", "e0")
+        with pytest.raises(ValueError, match="unknown edge 'e9'"):
+            insert_r2(d, "e0", "e9")
+        with pytest.raises(ValueError, match="do not bound a common face"):
+            insert_r2(d, "e1", "e3")
 
     def test_r2_to_an_invalid_map_raises_value_error(self):
         # no boundary markers, so the moved map fails validate()
@@ -230,6 +252,15 @@ class TestMoves:
         assert len(w) == 6
         assert closure(w, 3).validate() == []
 
+    def test_inverse_full_twist(self):
+        assert apply_full_twist([1], 3, sign=-1) == [1, -2, -1, -2, -1, -2, -1]
+        word = apply_full_twist(apply_full_twist([], 3), 3, sign=-1)
+        assert simplify(closure(word, 3))[0].n == 0
+        with pytest.raises(ValueError, match="strands must be"):
+            apply_full_twist([], 0)
+        with pytest.raises(ValueError, match="sign must be"):
+            apply_full_twist([], 2, sign=2)
+
     def test_mirror_round_trip(self):
         d = closure([1, -2, 3], 4)
         m = mirror_diagram(d)
@@ -254,6 +285,19 @@ class TestValidation:
             d.crossings, d.edge_parity, d.free_loops, (("ghost", 0), d.external[1])
         )
         assert bad.validate() != []
+
+    @pytest.mark.parametrize(
+        "n,inner,message",
+        [
+            (1, ("x1", 7), "inner designator corner 7 out of range"),
+            (1, "nowhere", "inner designator 'nowhere' is malformed"),
+            (0, ("x1", 0), "inner designator must be unbounded in a crossingless diagram"),
+        ],
+    )
+    def test_designator_messages(self, n, inner, message):
+        d = closure([1] * n, 2)
+        bad = AnnularDiagram(d.crossings, d.edge_parity, d.free_loops, (inner, d.external[1]))
+        assert bad.validate() == [message]
 
     def test_bad_loop_parity(self):
         bad = AnnularDiagram({}, {}, free_loops=(2,))
@@ -282,15 +326,23 @@ class TestValidation:
 
 def engine_cases():
     """(label, diagram) for the move engine: three seeds of every
-    generated family at n <= 12, and 30 seeds each of the random
-    closures, kinked closures, free-loop diagrams and random maps (any
-    pairing of slots, planar or not) of `test_analysis.random_diagram`."""
+    generated family at n <= 12, 30 seeds each of the random closures,
+    kinked closures, free-loop diagrams and random maps (any pairing of
+    slots, planar or not) of `test_analysis.random_diagram`, and the
+    closures of every braid word of at most 3 letters on 2-4 strands, in
+    the annulus and in a disk (718 diagrams, where every small strand
+    pattern meets the removals: a walk left with one surviving passage,
+    components that vanish into free loops)."""
     for family, seed in itertools.product(FAMILIES, range(3)):
         for k, d in enumerate(generate_family(family, 12, seed)):
             if d.n <= 12:
                 yield "%s/%d/%d" % (family, seed, k), d
     for kind, seed in itertools.product(("annulus", "disk", "kinks", "loops", "maps"), range(30)):
         yield "%s/%d" % (kind, seed), random_diagram(kind, seed)
+    for strands in (2, 3, 4):
+        for word in braid_words(strands, range(4)):
+            for disk in (False, True):
+                yield "%s/%d/%s" % (word, strands, "disk" if disk else "annulus"), closure(word, strands, disk=disk)
 
 
 def new_crossings(before, after):
@@ -316,9 +368,16 @@ class TestRemoval:
         assert removed > 100
 
     def test_simplify_leaves_no_removable_face(self):
+        # a face may stay listed only where `_excise` refuses it: removing
+        # it would strand a boundary marker, as in some disconnected closures
+        stuck = 0
         for label, d in engine_cases():
             s, _ = simplify(d)
             assert simplify(s) == (s, 0), label
+            left = _removals(s)
+            assert all(_excise(s, gone) is None for gone, _ in left), label
+            stuck += bool(left)
+        assert stuck > 0
 
     def test_a_reduced_diagram_comes_back_as_it_is(self):
         d = closure([1, -2, 3] * 6)
@@ -340,8 +399,7 @@ class TestRemoval:
         # and 3 strands, in the annulus and in a disk
         trips = 0
         for strands in (2, 3):
-            letters = [g for i in range(1, strands) for g in (i, -i)]
-            for word in itertools.chain.from_iterable(itertools.product(letters, repeat=k) for k in (1, 2)):
+            for word in braid_words(strands, (1, 2)):
                 for disk in (False, True):
                     d = closure(word, strands, disk=disk)
                     t = d.half_edges()
@@ -405,6 +463,22 @@ class TestRemoval:
         marked = AnnularDiagram(kinked.crossings, kinked.edge_parity, (), ((x, 3), (x, 3)))
         with pytest.raises(ValueError, match="no removable kink"):
             remove_r1(marked, x)
+
+    def test_a_removal_that_exposes_unchecked_parities_is_refused(self):
+        # two disjoint one-crossing curves: validate cannot check the cut
+        # parities of a disconnected diagram, and here they are not
+        # realizable (x1's odd edge bounds two faces, both markers sit in
+        # one), which the kink at x2 would leave x1 alone to show
+        d = AnnularDiagram(
+            {"x1": ("e0", "e1", "e1", "e0"), "x2": ("e2", "e3", "e3", "e2")},
+            {"e0": 1, "e1": 0, "e2": 0, "e3": 0},
+            (),
+            (("x1", 3), ("x1", 3)),
+        )
+        assert d.validate() == [] and _removals(d)
+        assert simplify(d) == (d, 0)
+        with pytest.raises(ValueError, match="no removable kink"):
+            remove_r1(d, "x2")
 
     def test_r_move_perturbations_simplify_to_their_base(self):
         base = from_braid_closure([1, 1, 1], 2, disk=True)

@@ -13,7 +13,7 @@ from annulink.analysis import (
     z2_class,
 )
 from annulink.diagfile import serialize_diagram
-from annulink.diagram import from_braid_closure
+from annulink.diagram import from_braid_closure, from_free_loops
 from annulink.generate import (
     FAMILIES,
     alternating_braid_closures,
@@ -90,6 +90,16 @@ class TestOtherFamilies:
             assert d.n > base.n
             assert d.validate() == []
             assert jones(d) == reference
+
+    def test_perturbations_of_free_loops(self):
+        # no face has two corners, so the finger move gives way to a kink
+        # on the first loop; with no loop there is nothing to move
+        empty = from_free_loops([])
+        assert r_move_perturbations(3, seed=1, base=empty) == [empty] * 3
+        base = from_free_loops([1, 0])
+        for d in r_move_perturbations(8, seed=4, base=base):
+            assert d.n >= 1 and d.validate() == []
+            assert jones(d) == jones(base)
 
     def test_perturbations_of_annular_base(self):
         base = from_braid_closure([1, -2], 3)

@@ -132,6 +132,8 @@ def test_delta_power():
     assert delta_power(0) == ONE
     assert delta_power(1) == DELTA
     assert delta_power(3) == DELTA * DELTA * DELTA
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        delta_power(-1)
 
 
 def test_times_int():

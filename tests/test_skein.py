@@ -65,6 +65,11 @@ class TestAlpha:
         for k in range(21):
             assert alpha(k) == alpha_walk_oracle(k)
 
+    @pytest.mark.parametrize("route", (alpha, alpha_walk_oracle))
+    def test_negative_count_raises(self, route):
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(-1)
+
 
 class TestCalibration:
     def test_empty(self):
