@@ -63,9 +63,15 @@ identity holds, because the state sum sees only circles and their
 parities, and an even face makes the circle an R1 or R2 smoothing
 closes trivial.
 
-For every crossing-bearing connected component the traced map must
-satisfy V - E + F = 2, i.e. each component is a map on the 2-sphere;
-`validate` reports all violations as strings rather than raising.
+For every component of crossings joined by edges, named by its lowest
+crossing, `validate` checks V - E + F = 2 (a map on the 2-sphere) and
+the cut parities: the cut arc runs from the component's face holding
+the inner boundary circle to the one holding the outer, so a component
+that holds both markers in two faces is odd around exactly those two,
+one that holds both in one face around none, and any other around none
+or two, its marker face among them when it holds one (the map does not
+record which face of a component holds another component).  It reports
+violations as strings rather than raising.
 
 Builders return fresh immutable-by-convention diagrams; move
 generators (`insert_r1`, `insert_r2`, `remove_r1`, `remove_r2`,
@@ -115,7 +121,7 @@ class HalfEdges(NamedTuple):
     face: List[int]  # corner h -> the index of its face
     faces: List[List[int]]  # each face's corners in trace order, from its smallest
     walks: List[List[int]]  # each strand walk's arrival half-edges, from its smallest
-    comp: List[int]  # crossing index -> union-find root of its component
+    comp: List[int]  # crossing index -> the lowest crossing index of its component
 
 
 class AnnularDiagram:
@@ -247,40 +253,39 @@ class AnnularDiagram:
         if bad:
             return bad  # map-level checks need a structurally sound diagram
 
-        # Each crossing-bearing connected component must be a sphere map.
-        # Every edge joins two half-edges of one component, so E = 2V there.
+        # One pass per component, in crossing order (rules in the module
+        # docstring).  Every edge joins two half-edges of one component,
+        # so E = 2V there.
         t = self.half_edges()
-        vertices = Counter(t.comp)
-        faces_by_comp = Counter(t.comp[f[0] >> 2] for f in t.faces)
-        for root, v in sorted(vertices.items()):
-            euler = faces_by_comp[root] - v
+        face_comp = [t.comp[f[0] >> 2] for f in t.faces]
+        vertices, faces = Counter(t.comp), Counter(face_comp)
+        odd: Dict[int, List[int]] = {root: [] for root in vertices}
+        ends: Dict[int, List[int]] = {root: [] for root in vertices}
+        # each end g of an odd edge flips the face of corner g - 1, which leaves by it
+        flips = [0] * len(t.faces)
+        for g in compress(range(len(t.epar)), t.epar):
+            flips[t.face[(g & ~3) | ((g - 1) & 3)]] ^= 1
+        for f in compress(range(len(flips)), flips):
+            odd[face_comp[f]].append(f)
+        for f in self.external_face_indices() or ():
+            ends[face_comp[f]].append(f)
+        for root, v in vertices.items():  # first seen at their own index, so in order
+            euler = faces[root] - v
             if euler != 2:
                 bad.append(
                     "component at crossing %s has V-E+F = %d, expected 2 (non-planar gluing)"
-                    % (t.order[t.comp.index(root)], euler)
+                    % (t.order[root], euler)
                 )
-        if bad:
-            return bad
-
-        # Cut consistency.  The parity bits must be realizable by a single
-        # arc running between the two boundary circles: around any face the
-        # arc enters as often as it leaves, so the boundary parities of a
-        # face sum to 0 mod 2, except at the two faces holding the boundary
-        # circles where the arc terminates.  Only checkable when the whole
-        # crossing graph is one component (nesting of separate components
-        # is not recorded by the map data).
-        if len(vertices) == 1:
-            # each end g of an odd edge flips the face of corner g - 1, which leaves by it
-            flips = [0] * len(t.faces)
-            for g in compress(range(len(t.epar)), t.epar):
-                flips[t.face[(g & ~3) | ((g - 1) & 3)]] ^= 1
-            odd = list(compress(range(len(flips)), flips))
-            ext = self.external_face_indices()
-            expected = sorted(set(ext)) if ext is not None and ext[0] != ext[1] else []
-            if odd != expected:
+                continue
+            here, marks = odd[root], ends[root]
+            if len(marks) == 2:
+                fits = here == (sorted(marks) if marks[0] != marks[1] else [])
+            else:
+                fits = not here or len(here) == 2 and set(marks) <= set(here)
+            if not fits:
                 bad.append(
                     "cut parities are odd around faces %r but the boundary circles "
-                    "sit in faces %r" % (odd, sorted(set(ext or ())))
+                    "sit in faces %r" % (here, sorted(set(marks)))
                 )
         return bad
 
@@ -352,26 +357,6 @@ def _cycles(step: List[int], passages: bool = False) -> Tuple[List[int], List[Li
     return label, cycles
 
 
-def _crossing_components(mate: List[int]) -> List[int]:
-    """Union-find root of every crossing index, joining the two crossings
-    of each edge in the order of the edge's first half-edge."""
-    parent = list(range(len(mate) >> 2))
-    for g, h in enumerate(mate):
-        if h > g:
-            a, b = g >> 2, h >> 2
-            while parent[a] != a:  # find, halving the path
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-    for i, a in enumerate(parent):
-        while parent[a] != a:
-            a = parent[a]
-        parent[i] = a
-    return parent
-
-
 def _build_half_edges(d: AnnularDiagram) -> HalfEdges:
     """One pass over the slots pairs the two ends of every edge; faces,
     walks and components then follow from ``mate`` alone."""
@@ -394,9 +379,17 @@ def _build_half_edges(d: AnnularDiagram) -> HalfEdges:
         raise ValueError("broken edge references; validate() lists them")
     face, faces = _cycles(_turned(mate, 1))
     walks = _cycles(_turned(mate, 2), passages=True)[1]
-    return HalfEdges(
-        list(crossings), eids, mate, [parity[eid] for eid in eids], face, faces, walks, _crossing_components(mate)
-    )
+    comp = [-1] * len(crossings)
+    for root in range(len(comp)):  # a breadth-first search from each lowest unreached crossing
+        if comp[root] < 0:
+            comp[root] = root
+            queue = [root]
+            for i in queue:
+                for h in mate[4 * i : 4 * i + 4]:
+                    if comp[h >> 2] < 0:
+                        comp[h >> 2] = root
+                        queue.append(h >> 2)
+    return HalfEdges(list(crossings), eids, mate, [parity[eid] for eid in eids], face, faces, walks, comp)
 
 
 # -- builders ------------------------------------------------------------
@@ -664,10 +657,11 @@ def _excise(d: AnnularDiagram, gone: Set[int]) -> Optional[AnnularDiagram]:
     """``d`` without the crossings of index in ``gone``, each strand through
     them rejoined and each boundary marker on them moved (rules in the
     module docstring); None when a marker finds no surviving corner, or
-    when a disconnected ``d``, whose cut parities `validate` cannot
-    check, gives a map that fails `validate`.  A rejoined edge keeps the
-    id of its lower surviving end's old edge.  Raises ValueError when
-    any other valid ``d`` gives an invalid map."""
+    when a disconnected ``d``, where a removal need not be an isotopy
+    (an unmarked face may hold another component), gives a map that
+    fails `validate` (no such removal is known).  A rejoined edge keeps
+    the id of its lower surviving end's old edge.  Raises ValueError
+    when a connected valid ``d`` gives an invalid map."""
     t = d.half_edges()
     epar, eid = t.epar, t.eid
     cut = [h >> 2 in gone for h in range(len(epar))]
@@ -754,8 +748,8 @@ def remove_r2(d: AnnularDiagram, c1: str, c2: str) -> AnnularDiagram:
 def simplify(d: AnnularDiagram) -> Tuple[AnnularDiagram, int]:
     """(diagram, dw): ``d`` with kinks removed, then bigons, the lowest
     removable face first, until `_excise` refuses each face left (it
-    would strand a boundary marker, or break cut parities a disconnected
-    ``d`` left unchecked), and dw the writhe of the removed kinks, so
+    would strand a boundary marker, or leave a disconnected ``d`` failing
+    `validate`), and dw the writhe of the removed kinks, so
     that <d> = (-A^3)^dw <diagram> (rules R1 and R2 in the module
     docstring).  A diagram with no removable face is returned as it is,
     cached tables and all."""

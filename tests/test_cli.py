@@ -141,6 +141,37 @@ class TestMapViolations:
         assert [line for line in out.splitlines() if message in line] == out.splitlines()
 
 
+# Two disjoint one-crossing curves: x1's odd edge bounds two faces while
+# both markers sit in one of them.  `validate` holds every component to
+# the cut-parity rule, so a disconnected file is refused like a connected one.
+TWO_CURVES = """[crossings]
+x1 e0 e1 e1 e0
+x2 e2 e3 e3 e2
+[edges]
+e0 1
+e1 0
+e2 0
+e3 0
+[external]
+inner x1:3
+outer x1:3
+"""
+TWO_CURVES_VIOLATION = "cut parities are odd around faces [0, 2] but the boundary circles sit in faces [2]"
+
+
+class TestDisconnectedParities:
+    @pytest.mark.parametrize("sub", ["bracket", "props", "verify"])
+    def test_rejected(self, capsys, tmp_path, sub):
+        path = tmp_path / "two.diag"
+        path.write_text(TWO_CURVES)
+        assert run(capsys, sub, str(path)) == (EXIT_INPUT, "", "two.diag: %s\n" % TWO_CURVES_VIOLATION)
+
+    def test_validate_lists_the_violation(self, capsys, tmp_path):
+        path = tmp_path / "two.diag"
+        path.write_text(TWO_CURVES)
+        assert run(capsys, "validate", str(path)) == (EXIT_CHECK, "violation: %s\n" % TWO_CURVES_VIOLATION, "")
+
+
 INVALID_RECIPES = {
     # each label names one end of an edge only
     "pd_unpaired_edges": ("pd: 1 2 3 4", "edge e1 has 1 incidences, expected 2"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annulink.analysis import is_in_disk, profile, z2_class
-from annulink.corpus import get
+from annulink.corpus import ENTRIES, get
 from annulink.diagram import (
     UNBOUNDED,
     AnnularDiagram,
@@ -28,6 +28,7 @@ from annulink.generate import FAMILIES, generate_family, r_move_perturbations
 from annulink.laurent import LaurentPoly
 from annulink.skein import bracket_gray, writhe
 from test_analysis import random_diagram
+from test_perfbench_pins import load_inputs
 
 words = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=8
@@ -316,6 +317,26 @@ class TestValidation:
         else:
             pytest.fail("no single parity flip was rejected")
 
+    def test_no_generated_corpus_or_benchmark_input_is_rejected(self):
+        # every component is held to the cut-parity rule; the 22 inputs
+        # here with more than one crossing component pass it too
+        inputs = load_inputs()
+        diagrams = [
+            d
+            for family, seed, size in itertools.product(FAMILIES, range(5), (3, 6, 10))
+            for d in generate_family(family, size, seed)
+        ]
+        diagrams += [get(name).build() for name in ENTRIES]
+        diagrams += [
+            inputs.build_diagram(*inputs.parse_key(key))
+            for workload in ("verify-sweep", "props-large")
+            for key in inputs.pool_keys(workload)
+            if key != inputs.CORPUS_KEY
+        ]
+        assert len(diagrams) == 395 + 21 + 352 + 72
+        assert [d for d in diagrams if d.validate()] == []
+        assert sum(len(set(d.half_edges().comp)) > 1 for d in diagrams) == 22
+
     @given(words, st.sampled_from(KINKED_LOOPS), st.sampled_from((1, -1)))
     @settings(max_examples=40)
     def test_builders_always_pass(self, word, loops, sign):
@@ -464,21 +485,19 @@ class TestRemoval:
         with pytest.raises(ValueError, match="no removable kink"):
             remove_r1(marked, x)
 
-    def test_a_removal_that_exposes_unchecked_parities_is_refused(self):
-        # two disjoint one-crossing curves: validate cannot check the cut
-        # parities of a disconnected diagram, and here they are not
-        # realizable (x1's odd edge bounds two faces, both markers sit in
-        # one), which the kink at x2 would leave x1 alone to show
+    def test_unrealizable_parities_of_a_disconnected_diagram_are_reported(self):
+        # two disjoint one-crossing curves: x1's odd edge bounds two faces
+        # while both markers sit in one of them, so no cut arc gives these
+        # parities, whatever x2 and the nesting of the two curves
         d = AnnularDiagram(
             {"x1": ("e0", "e1", "e1", "e0"), "x2": ("e2", "e3", "e3", "e2")},
             {"e0": 1, "e1": 0, "e2": 0, "e3": 0},
             (),
             (("x1", 3), ("x1", 3)),
         )
-        assert d.validate() == [] and _removals(d)
-        assert simplify(d) == (d, 0)
-        with pytest.raises(ValueError, match="no removable kink"):
-            remove_r1(d, "x2")
+        assert d.validate() == ["cut parities are odd around faces [0, 2] but the boundary circles sit in faces [2]"]
+        # x1 alone, as removing the kink at x2 leaves it, fails the same way
+        assert _excise(d, {1}).validate() == d.validate()
 
     def test_r_move_perturbations_simplify_to_their_base(self):
         base = from_braid_closure([1, 1, 1], 2, disk=True)

@@ -8,6 +8,7 @@ dicts.  Everything now read off `AnnularDiagram.half_edges`
 the `validate` messages) must equal them, order included.
 """
 
+import itertools
 import random
 
 import pytest
@@ -75,7 +76,8 @@ def ref_strand_walks(d):
 
 
 def ref_components(d):
-    """crossing id -> union-find root index, edges in `edge_ends` order."""
+    """crossing id -> the lowest crossing index of its component, by
+    union-find over the edges in `edge_ends` order."""
     ids = list(d.crossings)
     index = {cid: i for i, cid in enumerate(ids)}
     parent = list(range(len(ids)))
@@ -90,7 +92,10 @@ def ref_components(d):
         a, b = find(index[ends[0][0]]), find(index[ends[1][0]])
         if a != b:
             parent[a] = b
-    return {cid: find(index[cid]) for cid in ids}
+    lowest = {}
+    for i in range(len(ids)):
+        lowest.setdefault(find(i), i)
+    return {cid: lowest[find(index[cid])] for cid in ids}
 
 
 def ref_external_faces(d):
@@ -180,41 +185,35 @@ def ref_reference_violations(d):
 
 
 def ref_validate(d):
+    """Each component in crossing order: V - E + F = 2, and then its odd
+    faces are {a} ^ {b} for some face a that can hold the inner boundary
+    circle and b the outer (a marker's face, or any face of a component
+    without that marker)."""
     bad = ref_reference_violations(d)
     if bad:
         return bad
     comp = ref_components(d)
-    if comp:
-        faces_by_comp, vertices, edges = {}, {}, {}
-        for face in ref_trace_faces(d):
-            root = comp[face[0][0]]
-            faces_by_comp[root] = faces_by_comp.get(root, 0) + 1
-        for cid in d.crossings:
-            vertices[comp[cid]] = vertices.get(comp[cid], 0) + 1
-        for ends in d.edge_ends().values():
-            edges[comp[ends[0][0]]] = edges.get(comp[ends[0][0]], 0) + 1
-        for root, v in sorted(vertices.items()):
-            euler = v - edges.get(root, 0) + faces_by_comp.get(root, 0)
-            if euler != 2:
-                name = next(cid for cid, r in comp.items() if r == root)
-                bad.append(
-                    "component at crossing %s has V-E+F = %d, expected 2 (non-planar gluing)"
-                    % (name, euler)
-                )
-        if bad:
-            return bad
-    if comp and len(set(comp.values())) == 1:
-        odd = []
-        for i, face in enumerate(ref_trace_faces(d)):
-            total = sum(d.edge_parity[d.crossings[c][(s + 1) % 4]] for c, s in face)
-            if total % 2:
-                odd.append(i)
-        ext = ref_external_faces(d)
-        expected = sorted(set(ext)) if ext is not None and ext[0] != ext[1] else []
-        if odd != expected:
+    faces = ref_trace_faces(d)
+    ext = ref_external_faces(d) or ()
+    ids = list(d.crossings)
+    for root in sorted(set(comp.values())):
+        mine = [i for i, face in enumerate(faces) if comp[face[0][0]] == root]
+        v = list(comp.values()).count(root)
+        e = sum(comp[ends[0][0]] == root for ends in d.edge_ends().values())
+        if v - e + len(mine) != 2:
+            bad.append(
+                "component at crossing %s has V-E+F = %d, expected 2 (non-planar gluing)"
+                % (ids[root], v - e + len(mine))
+            )
+            continue
+        odd = [i for i in mine if sum(d.edge_parity[d.crossings[c][(s + 1) % 4]] for c, s in faces[i]) % 2]
+        inner = [ext[0]] if ext and ext[0] in mine else mine
+        outer = [ext[1]] if ext and ext[1] in mine else mine
+        if not any(set(odd) == {a} ^ {b} for a in inner for b in outer):
+            marks = sorted({f for f in ext if f in mine})
             bad.append(
                 "cut parities are odd around faces %r but the boundary circles "
-                "sit in faces %r" % (odd, sorted(set(ext or ())))
+                "sit in faces %r" % (odd, marks)
             )
     return bad
 
@@ -307,9 +306,9 @@ class TestAgainstDartTracing:
     def test_corpus(self, name):
         agree(get(name).build())
 
-    def test_non_planar_components_in_union_find_root_order(self):
-        # {x0, x2} has root 2, as the edge x0:0 - x2:2 hangs x0 below x2;
-        # {x1} has root 1.  Messages follow the roots, not the names.
+    def test_non_planar_components_in_crossing_order(self):
+        # messages come by the lowest crossing of each component: {x0, x2}
+        # is named by x0, {x1} by x1
         d = AnnularDiagram(
             {"x0": ("a", "b", "c", "b"), "x1": ("d", "e", "d", "e"), "x2": ("c", "f", "a", "f")},
             {e: 0 for e in "abcdef"},
@@ -318,27 +317,34 @@ class TestAgainstDartTracing:
         )
         messages = d.validate()
         assert messages == ref_validate(d)
-        assert [m.split()[3] for m in messages] == ["x1", "x0"]
+        assert [m.split()[3] for m in messages] == ["x0", "x1"]
+
+    def test_every_component_is_held_to_the_cut_parity_rule(self):
+        # one-crossing curves x1 and x2 side by side, every parity and
+        # marker choice: both verdicts occur with the markers on one
+        # curve and with one on each
+        verdicts = set()
+        for par in itertools.product((0, 1), repeat=4):
+            for ext in itertools.product(itertools.product(("x1", "x2"), range(4)), repeat=2):
+                d = AnnularDiagram(
+                    {"x1": ("e0", "e1", "e1", "e0"), "x2": ("e2", "e3", "e3", "e2")},
+                    dict(zip(("e0", "e1", "e2", "e3"), par)),
+                    (),
+                    ext,
+                )
+                assert d.validate() == ref_validate(d)
+                verdicts.add((ext[0][0] == ext[1][0], not d.validate()))
+        assert len(verdicts) == 4
 
 
 class TestDerivedOnce:
-    def test_props_builds_the_table_and_the_components_once(self, monkeypatch, tmp_path, capsys):
-        calls = {"table": 0, "components": 0}
-        build, components = diagram._build_half_edges, diagram._crossing_components
-
-        def counted_build(*args):
-            calls["table"] += 1
-            return build(*args)
-
-        def counted_components(*args):
-            calls["components"] += 1
-            return components(*args)
-
-        monkeypatch.setattr(diagram, "_build_half_edges", counted_build)
-        monkeypatch.setattr(diagram, "_crossing_components", counted_components)
+    def test_props_builds_the_table_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        build = diagram._build_half_edges
+        monkeypatch.setattr(diagram, "_build_half_edges", lambda *args: calls.append(1) or build(*args))
         path = tmp_path / "alt4.diag"
         save_diagram(str(path), from_braid_closure(alternating_word(random.Random(1), 4, 400), 4))
         assert main(["props", str(path)]) == 0
         out = capsys.readouterr().out
         assert "n = 400" in out and "connected = 1" in out
-        assert calls == {"table": 1, "components": 1}
+        assert calls == [1]

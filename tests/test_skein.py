@@ -434,6 +434,89 @@ class TestGrayAgainstLiteral:
         assert skein._gray_states(d) == literal_histogram(d)
 
 
+def frontier_histogram(d):
+    """(state histogram, largest key count) by adding crossings in index
+    order.  A key holds the open half-edges (those whose mate is not
+    added yet) paired as (a, b, parity) by the paths between them, plus
+    the essential circles closed so far; its value counts states by
+    (minus signs, trivial circles).  Shares no step with either route."""
+    t = d.half_edges()
+    mate, epar = t.mate, t.epar
+    states = {((), 0): {(0, 0): 1}}
+    width = 1
+    for i in range(d.n):
+        grown = {}
+        for (paths, ess), counts in states.items():
+            for minus, turn in ((0, 3), (1, 1)):  # + joins slots 0-3 and 1-2, - joins 0-1 and 2-3
+                link = {h: (h ^ turn, 0) for h in range(4 * i, 4 * i + 4)}
+                for a, b, par in paths:
+                    link[a], link[b] = (b, par), (a, par)
+                seen, new_paths, triv, closed = set(), [], 0, 0
+                # open ends first, so that every node on a path is seen
+                # before a circle trace could start on it
+                for h0 in sorted(h for h in link if mate[h] not in link) + list(link):
+                    if h0 in seen:
+                        continue
+                    h, par = h0, 0
+                    while True:  # along a link, then through an edge
+                        seen.add(h)
+                        h, p = link[h]
+                        seen.add(h)
+                        par ^= p
+                        if mate[h] not in link:  # a path between open ends
+                            new_paths.append((h0, h, par))
+                            break
+                        par ^= epar[h]
+                        h = mate[h]
+                        if h == h0:  # a closed circle
+                            triv, closed = triv + (not par), closed + par
+                            break
+                row = grown.setdefault((tuple(new_paths), ess + closed), {})
+                for (m, tv), count in counts.items():
+                    row[m + minus, tv + triv] = row.get((m + minus, tv + triv), 0) + count
+        states = grown
+        width = max(width, len(states))
+    free_triv = d.free_loops.count(0)
+    free_ess = len(d.free_loops) - free_triv
+    hist = {}
+    for (paths, ess), counts in states.items():
+        for (minus, triv), count in counts.items():
+            hist[d.n - 2 * minus, triv + free_triv, ess + free_ess] = count
+    return hist, width
+
+
+class TestFrontierOracle:
+    """Both routes against the frontier, a third route that stays cheap
+    where the plain oracle is too slow for tier-1."""
+
+    def test_gray_on_the_bracket_large_slots(self):
+        # pool member 0 of each slot, as given and simplified; the
+        # frontier holds 14 keys on the zigzags and 28 on braid6 (16
+        # once its bigons are off), where the walk counts 2^16 to 2^18 states
+        inputs = load_perfbench_inputs()
+        widths = []
+        for family, n in (("zigzag", 16), ("zigzag", 18), ("braid6", 17)):
+            d = parse_recipe(inputs.bracket_recipe(family, n, 0))
+            for e in (d, simplify(d)[0]):
+                hist, width = frontier_histogram(e)
+                assert skein._gray_states(e) == hist, (family, n, e.n)
+                widths.append(width)
+        assert widths == [14, 14, 14, 14, 28, 16]
+
+    def test_plain_on_every_family(self):
+        for family, seed in itertools.product(FAMILIES, range(2)):
+            for d in generate_family(family, 12, seed):
+                if d.n <= 12:
+                    assert skein._plain_states(d) == frontier_histogram(d)[0], (family, seed, d.n)
+
+    @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
+    def test_random_diagrams(self, kind):
+        for seed in range(40):
+            d = random_diagram(kind, seed)
+            if d.n <= 10:
+                assert literal_histogram(d) == frontier_histogram(d)[0]
+
+
 class TestCrossingOrder:
     """The order of the crossings picks the ones the plain route leaves
     open and the one the Gray walk counts in closed form; neither
