@@ -32,12 +32,12 @@ given.  `verify_all` and direct calls of `bracket_gray` and `bracket`
 evaluate the diagram exactly as given, so the two routes are held to
 the user's diagram.
 
-`bracket_gray` is a Gray-code walk over all crossings but a held one
+`bracket_gray` is a Gray-code walk over all crossings but crossing 0
 that relabels in place only the path a flip changed, counting each
-state with its twin, the held crossing flipped, in closed form: a
-merge, a split or a reconnection.  Past n = 8 a probe of a few
-smoothings plans which crossing it holds and which it flips most
-often (`_gray_plan`); the plan changes only speed.
+state with its twin, crossing 0 flipped, in closed form: a merge, a
+split or a reconnection.  Past n = 8 a probe of a few smoothings picks
+the sign crossing 0 is held at (`_gray_sign`); the sign changes only
+speed.
 `bracket` enumerates the states independently and is its oracle: the two
 must always agree and are never merged.  It runs one trace loop twice:
 over the smoothings of all but the last three crossings, each traced
@@ -384,42 +384,31 @@ def _smoothings(
     return counts
 
 
-def _gray_plan(d: AnnularDiagram) -> Tuple[int, int, List[int], int, int]:
-    """(held crossing, its sign, flip order, probe count, R) of the Gray
-    walk on n >= 1 crossings, from R = min(2n, 2^(n-1) // 256) smoothings
-    drawn from ``random.Random(n)``.  Hold the crossing and sign whose
-    arcs, by sharing a circle, sent the twin on a walk in the fewest
-    probes (ties: lowest index, then ``+``); on a planar map exactly one
-    sign's arcs share one, so one labelling counts both (elsewhere it is
-    an estimate; any plan counts every state).  Flip the others cheapest
-    first, by the summed size of the circle a flip relabels (ties: index
-    order)."""
+def _gray_sign(d: AnnularDiagram) -> Tuple[int, int, int]:
+    """(sign, shared, R): the sign the Gray walk holds crossing 0 at on
+    n >= 1 crossings, from R = min(2n, 2^(n-1) // 256) smoothings drawn
+    from ``random.Random(n)``.  It is the sign whose arcs, by sharing a
+    circle, sent the twin on a walk in fewer probes (ties: ``+``), and
+    shared counts those.  On a planar map exactly one sign's arcs share
+    one, so one labelling counts both; elsewhere it is an estimate."""
     n = d.n
     probes = min(2 * n, (1 << n) >> 9)
     if not probes:  # n <= 8: a probe would cost more than it saves
-        return 0, 1, list(range(1, n)), 0, 0
+        return 1, 0, 0
     rng = random.Random(n)
-    shared = [0] * (2 * n)  # 2c: crossing c's + arcs share a circle, 2c + 1: its - arcs
-    cost = [0] * n
+    plus = 0  # probes in which crossing 0's + arcs share a circle
     for _ in range(probes):
         signs = [rng.choice((1, -1)) for _ in range(n)]
         ident = _label_circles(d, signs)[0]
-        size = [0] * len(ident)
-        for k in ident:
-            size[k] += 1
-        for c in range(n):
-            shared[2 * c + ((ident[4 * c] == ident[4 * c + 2]) == (signs[c] < 0))] += 1
-            cost[c] += size[ident[4 * c + 2]]
-    held = min(range(2 * n), key=shared.__getitem__)
-    order = sorted((x for x in range(n) if x != held >> 1), key=cost.__getitem__)
-    return held >> 1, -1 if held & 1 else 1, order, shared[held], probes
+        plus += (ident[0] == ident[2]) == (signs[0] > 0)
+    return (1, plus, probes) if 2 * plus <= probes else (-1, probes - plus, probes)
 
 
 def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     """Histogram of smoothing invariants over all 2^n states, two per step
-    of a Gray-code walk over all crossings but the held one, on the plan
-    of `_gray_plan` (see `bracket_gray`): step i flips
-    ``order[(i & -i).bit_length() - 1]``.  The plan changes only speed.
+    of a Gray-code walk over crossings 1 .. n - 1 with crossing 0 held at
+    the sign of `_gray_sign` (see `bracket_gray`): step i flips crossing
+    ``(i & -i).bit_length()``.  The sign changes only speed.
 
     Flipping crossing t replaces its two arcs.  If they lay on two
     circles, the path of the second one is relabelled into the first and
@@ -437,50 +426,44 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     free_ess = len(d.free_loops) - free_triv
     if n == 0:
         return {(0, free_triv, free_ess): 1}
-    c, s, order = _gray_plan(d)[:3]
-    h0, h2 = 4 * c, 4 * c + 2
-    signs = [1] * n
-    signs[c] = s
-    ident, seed = _label_circles(d, signs)[:2]
+    s = _gray_sign(d)[0]
+    ident, seed = _label_circles(d, [s] + [1] * (n - 1))[:2]
     parity = seed + [0] * (2 * n + 1 - len(seed))
     free = list(range(len(parity) - 1, len(seed) - 1, -1))
     partner = [h ^ 3 for h in range(4 * n)]
-    if s < 0:  # crossing c's - arcs
-        partner[h0 : h0 + 4] = [h0 + 1, h0, h2 + 1, h2]
+    if s < 0:  # crossing 0's - arcs
+        partner[:4] = [1, 0, 3, 2]
     unit = (_TRIVIAL, _ESSENTIAL)  # key step per circle of parity 0, 1
     key = (s < 0) + seed.count(0) * _TRIVIAL + (len(seed) - seed.count(0)) * _ESSENTIAL
-    # the twin's arc from h0 closes a path from h0 that first comes back to c at `split`
-    split = h0 + (1 if s > 0 else 3)
-    near = [False] * (4 * n)
-    near[h0 : h0 + 4] = [True] * 4
-    slots = [0] + [4 * x for x in order]  # slots[b]: slot 0 of order[b - 1]
+    # the twin's arc from slot 0 closes a path from slot 0 that first comes back at `split`
+    split = 1 if s > 0 else 3
     counts: Dict[int, int] = {}
     for i in range(1, (1 << (n - 1)) + 1):
-        # the twin: crossing c's arcs at s hold h0 and h2, one each
-        ia, ib = ident[h0], ident[h2]
+        # the twin: crossing 0's arcs at s hold slots 0 and 2, one each
+        ia, ib = ident[0], ident[2]
         if ia != ib:  # two circles merge
             pa, pb = parity[ia], parity[ib]
             k0 = key + s + unit[pa ^ pb] - unit[pa] - unit[pb]
-        else:  # one circle: read the path from h0 to crossing c's next slot
+        else:  # one circle: read the path from slot 0 to crossing 0's next slot
             par = 0
-            cur = h0
+            cur = 0
             while True:
                 m = mate[cur]
                 par ^= epar[cur]
-                if near[m]:
+                if m < 4:
                     break
                 cur = partner[m]
             if m == split:  # the twin's arc closes the path into a circle of its own
                 pa = parity[ia]
                 k0 = key + s + unit[par] + unit[pa ^ par] - unit[pa]
-            else:  # m == h2: the circle reconnects to itself
+            else:  # m == 2: the circle reconnects to itself
                 k0 = key + s
         counts[key] = counts.get(key, 0) + 1
         counts[k0] = counts.get(k0, 0) + 1
-        b = (i & -i).bit_length()  # flip order[b - 1]
+        b = (i & -i).bit_length()  # flip crossing b
         if b == n:  # every state of the other crossings is counted
             break
-        j = slots[b]
+        j = 4 * b
         if partner[j] == j + 3:  # + to -: arcs j-(j+1), (j+2)-(j+3)
             partner[j], partner[j + 1], partner[j + 2], partner[j + 3] = j + 1, j, j + 3, j + 2
             key += 1
@@ -532,17 +515,17 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
 def bracket_gray(d: AnnularDiagram) -> LaurentPoly:
     """Bracket via Gray-code enumeration with incremental circle updates.
 
-    One crossing c is held at a sign s while one walk visits the
-    2^(n-1) smoothings of the others, flipping one per step and
-    relabelling in place only the path whose circle changed.  At each
-    state the twin with c at -s is counted in closed form: if c's arcs
-    at s lie on two circles, these merge; if on one, a read-only walk
-    from slot 0 comes back at the slot the twin's arc joins to slot 0,
-    1 at ``+`` and 3 at ``-`` (a circle of the walked parity splits
-    off), or at slot 2 (the circle reconnects to itself).  Crossing c
-    never writes to the walk's tables.  `_gray_plan` picks c, s and the
-    flip order (crossing 0, ``+`` and index order up to n = 8); the plan
-    changes only speed.  The value is memoised under this route's key.
+    Crossing 0 is held at a sign s while one walk visits the 2^(n-1)
+    smoothings of the others, flipping one per step in Gray-code order
+    and relabelling in place only the path whose circle changed.  At
+    each state the twin with crossing 0 at -s is counted in closed form:
+    if its arcs at s lie on two circles, these merge; if on one, a
+    read-only walk from slot 0 comes back at the slot the twin's arc
+    joins to slot 0, 1 at ``+`` and 3 at ``-`` (a circle of the walked
+    parity splits off), or at slot 2 (the circle reconnects to itself).
+    Crossing 0 never writes to the walk's tables.  `_gray_sign` picks s
+    (``+`` up to n = 8); the sign changes only speed.  The value is
+    memoised under this route's key.
     """
     _check_size(d)
     return d._cached("bracket:gray", lambda: _assemble(_gray_histogram(d)))

@@ -1,9 +1,7 @@
 """State sums: counting rule, bracket routes, moves, writhe scaling."""
 
-import importlib.util
 import itertools
 import math
-import pathlib
 import random
 
 import pytest
@@ -43,6 +41,7 @@ from annulink.skein import (
 from annulink.theorems import FAIL, PASS, verify_all
 from test_analysis import random_diagram, random_map
 from test_diagram import engine_cases
+from test_perfbench_pins import load_inputs
 
 
 def closure(word, strands, disk=False):
@@ -493,7 +492,7 @@ class TestFrontierOracle:
         # pool member 0 of each slot, as given and simplified; the
         # frontier holds 14 keys on the zigzags and 28 on braid6 (16
         # once its bigons are off), where the walk counts 2^16 to 2^18 states
-        inputs = load_perfbench_inputs()
+        inputs = load_inputs()
         widths = []
         for family, n in (("zigzag", 16), ("zigzag", 18), ("braid6", 17)):
             d = parse_recipe(inputs.bracket_recipe(family, n, 0))
@@ -577,19 +576,23 @@ def twin_cases(d):
 
 
 class TestGrayOpenCrossing:
-    """The Gray walk where no probe runs (n <= 8, every case here), so it
-    holds crossing 0 at + and counts each state's twin with crossing 0
-    at - in closed form, against a third evaluator: `resolve` on every
-    smoothing."""
+    """The Gray walk on small diagrams (n <= 8, every case here), which
+    holds crossing 0 at a sign s and counts each state's twin with
+    crossing 0 at -s in closed form, against a third evaluator: `resolve`
+    on every smoothing.  No probe runs up to n = 8, so the walk holds +;
+    the random diagrams are also walked with the sign forced to -."""
 
     @pytest.mark.parametrize("kind", ("annulus", "disk", "kinks", "loops", "maps"))
-    def test_random_diagrams(self, kind):
+    def test_random_diagrams(self, kind, monkeypatch):
         sizes = set()
         for seed in range(60):
             d = random_diagram(kind, seed)
             if d.n <= 8:
                 sizes.add(d.n)
-                assert skein._gray_states(d) == resolved_histogram(d)
+                hist = resolved_histogram(d)
+                for sign in (1, -1):
+                    monkeypatch.setattr(skein, "_gray_sign", lambda _, sign=sign: (sign, 0, 0))
+                    assert skein._gray_states(d) == hist, sign
         assert len(sizes) >= (1 if kind == "loops" else 4)
 
     def test_no_crossings(self):
@@ -644,24 +647,17 @@ class TestGrayOpenCrossing:
 
 
 def probe_tally(d):
-    """Per (crossing index, sign), the probe smoothings of `_gray_plan` in
-    which that crossing's arcs at that sign share a circle, each found by
-    labelling the smoothing with the crossing set to that sign; and per
-    crossing, the summed corner count of the circle through its slot 2."""
+    """Per sign, the probe smoothings of `_gray_sign` in which crossing
+    0's arcs at that sign share a circle, each found by labelling the
+    smoothing with crossing 0 set to that sign."""
     rng = random.Random(d.n)
-    order = d.half_edges().order
-    shared = {(c, s): 0 for c in range(d.n) for s in (1, -1)}
-    cost = [0] * d.n
+    shared = {1: 0, -1: 0}
     for _ in range(min(2 * d.n, 2 ** (d.n - 1) // 256)):
         signs = [rng.choice((1, -1)) for _ in range(d.n)]
-        for c in range(d.n):
-            for s in (1, -1):
-                ident = skein._label_circles(d, signs[:c] + [s] + signs[c + 1 :])[0]
-                shared[c, s] += ident[4 * c] == ident[4 * c + 2]
-        for corners, _ in state_circles(d, signs):
-            for c, cid in enumerate(order):
-                cost[c] += len(corners) if (cid, 2) in corners else 0
-    return shared, cost
+        for s in (1, -1):
+            ident = skein._label_circles(d, [s] + signs[1:])[0]
+            shared[s] += ident[0] == ident[2]
+    return shared
 
 
 def probed_diagrams(kind):
@@ -672,63 +668,53 @@ def probed_diagrams(kind):
 
 
 class TestGrayPlan:
-    """Past n = 8 a probe picks the crossing the Gray walk holds, and its
-    sign, and the order it flips the others in.  The plan changes only
-    the walk's speed: every histogram must be the same under it."""
+    """Past n = 8 a probe picks the sign the Gray walk holds crossing 0
+    at.  The sign changes only the walk's speed: every histogram must be
+    the same under it."""
 
     @pytest.mark.parametrize("kind", ("closures", "families"))
     def test_probed_diagrams(self, kind):
-        holds = set()
+        signs = set()
         for d in probed_diagrams(kind):
             assert 9 <= d.n <= 13
-            c, s, order, _, probes = skein._gray_plan(d)
+            s, _, probes = skein._gray_sign(d)
             assert probes == min(2 * d.n, 2 ** (d.n - 1) // 256) > 0
-            assert sorted(order + [c]) == list(range(d.n))
-            holds.add((c, s))
+            signs.add(s)
             hist = skein._gray_states(d)
             assert hist == skein._plain_states(d)
             if d.n <= 11:
                 assert hist == literal_histogram(d)
-        assert {s for _, s in holds} == {1, -1}
-        assert any(c for c, _ in holds)
+        assert signs == {1, -1}
 
     @pytest.mark.parametrize("kind", ("closures", "families"))
     def test_plan_follows_the_probe(self, kind):
         for d in probed_diagrams(kind)[:12]:
-            shared, cost = probe_tally(d)
-            c, s, order, count, _ = skein._gray_plan(d)
+            shared = probe_tally(d)
+            s, count, probes = skein._gray_sign(d)
             # these diagrams are planar, so one labelling counts both signs
-            assert count == shared[c, s] == min(shared.values())
-            assert (c, s) == min((k for k, v in shared.items() if v == count), key=lambda k: (k[0], -k[1]))
-            assert order == sorted((x for x in range(d.n) if x != c), key=cost.__getitem__)
+            assert shared[1] + shared[-1] == probes
+            assert count == shared[s] == min(shared.values())
+            assert s == (1 if shared[1] <= shared[-1] else -1)
 
     def test_plus_kink_never_shares_a_circle(self):
         # a + kink's loop closes its 3-0 arc into a circle of its own, so
-        # its + arcs never share one, and no hold can beat that count
+        # listed first, its + arcs never share one and it is held at +
         base = closure([(1, -2, 3)[i % 3] for i in range(11)], 4)
         d = insert_r1(base, sorted(base.edge_parity)[0], sign=1)
         (cid,) = set(d.crossings) - set(base.crossings)
-        kink = d.half_edges().order.index(cid)
-        shared, _ = probe_tally(d)
-        assert shared[kink, 1] == 0
-        c, s, _, count, probes = skein._gray_plan(d)
-        assert probes == 8
-        assert count == 0 == shared[c, s]
-        assert (c, s) == min((k for k, v in shared.items() if v == 0), key=lambda k: (k[0], -k[1]))
-        assert skein._gray_states(d) == skein._plain_states(d) == literal_histogram(d)
-        # listed first, the kink is the hold: the lowest index, at +
         first = crossing_at(d, cid, 0)
-        assert skein._gray_plan(first)[:2] == (0, 1)
-        assert skein._gray_states(first) == skein._gray_states(d)
+        assert probe_tally(first)[1] == 0
+        assert skein._gray_sign(first) == (1, 0, 8)
+        assert skein._gray_states(first) == skein._plain_states(d) == literal_histogram(d)
 
     def test_no_probe_up_to_n_8(self):
         for n in range(1, 9):
             d = closure([(1, -2, 3)[i % 3] for i in range(n)], 4)
-            assert skein._gray_plan(d) == (0, 1, list(range(1, n)), 0, 0)
+            assert skein._gray_sign(d) == (1, 0, 0)
         for seed in range(20):
             d = random_diagram("maps", seed)
             if 1 <= d.n <= 8:
-                assert skein._gray_plan(d) == (0, 1, list(range(1, d.n)), 0, 0)
+                assert skein._gray_sign(d) == (1, 0, 0)
 
 
 class TestMoves:
@@ -772,14 +758,6 @@ def kink_factor(dw):
     return LaurentPoly({3 * dw: -1 if dw % 2 else 1})
 
 
-def load_perfbench_inputs():
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestSimplifiedBracket:
     """`bracket_simplified`, the printed bracket, walks ``simplify(d)``;
     the plain oracle reads d as given."""
@@ -793,7 +771,7 @@ class TestSimplifiedBracket:
     def test_bracket_large_inputs(self):
         # every braid6 pool member loses its two bigons, then the bigons
         # they uncover, down to 9 crossings; the zigzags have none
-        inputs = load_perfbench_inputs()
+        inputs = load_inputs()
         for p in range(inputs.POOL):
             d = parse_recipe(inputs.bracket_recipe("braid6", 17, p))
             assert [sign for _, sign in _removals(d)] == [0, 0]

@@ -31,9 +31,9 @@ def test_states_prints_us_per_state_of_both_enumerators():
     for n in (6, 12):
         size = result["zigzag n=%d" % n]
         assert sorted(size) == ["gray", "plain"]
-        held, sign, _, shared, probes = skein._gray_plan(from_braid_closure([(1, -2, 3)[i % 3] for i in range(n)], 4))
+        sign, shared, probes = skein._gray_sign(from_braid_closure([(1, -2, 3)[i % 3] for i in range(n)], 4))
         assert probes == {6: 0, 12: 8}[n]  # no probe up to n = 8
-        plan = {"held": held, "sign": "+" if sign > 0 else "-", "shared": shared, "probes": probes}
+        plan = {"sign": "+" if sign > 0 else "-", "shared": shared, "probes": probes}
         assert size["gray"].pop("plan") == plan
         for route in size.values():
             assert sorted(route) == ["us_per_call", "us_per_state"]
