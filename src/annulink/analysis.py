@@ -6,7 +6,10 @@ whether the strands alternate, how each crossing sits against the
 external regions, and the circle counts of the two constant smoothings.
 `profile` bundles the lot into one record, computed once per diagram
 and memoised on it; the breadth checks and the CLI read their
-hypotheses from that record.
+hypotheses from that record.  It is the one producer of the
+constant-state facts: `state_counts` and `is_adequate` read its record,
+and its two `skein.flip_counts` calls, whose circles include the free
+loops, are the only traces of the constant smoothings.
 
 Both map predicates are read off the half-edge table.  A strand leaves
 a crossing on the slot parity it arrived on, so a diagram alternates
@@ -147,21 +150,11 @@ def is_quasi_simple(d: AnnularDiagram) -> bool:
     return sum(1 for t in tags if t == "fig3_type") <= 1
 
 
-def _constant_states(d: AnnularDiagram) -> Tuple[Tuple[int, int, bool], ...]:
-    """(trivial, essential, adequate) for the all-plus, then the
-    all-minus smoothing, from one trace of each."""
-    out = []
-    for sign in (1, -1):
-        trivial, essential, flipped = flip_counts(d, sign)
-        out.append((trivial, essential, max(flipped, default=-1) < trivial))
-    return tuple(out)
-
-
 def state_counts(d: AnnularDiagram) -> Tuple[int, int, int, int]:
     """(s_plus, p_plus, s_minus, p_minus): trivial and essential circle
-    counts of the all-plus and all-minus smoothings."""
-    (sp, pp, _), (sm, pm, _) = _constant_states(d)
-    return sp, pp, sm, pm
+    counts of the all-plus and all-minus smoothings, read off `profile`."""
+    p = profile(d)
+    return p.s_plus, p.p_plus, p.s_minus, p.p_minus
 
 
 def is_adequate(d: AnnularDiagram) -> Tuple[bool, bool]:
@@ -170,10 +163,10 @@ def is_adequate(d: AnnularDiagram) -> Tuple[bool, bool]:
     Plus-adequate: the all-plus smoothing has strictly more trivial
     circles than every smoothing obtained from it by one sign flip;
     minus-adequate is the mirror statement.  Crossingless diagrams are
-    vacuously adequate.
+    vacuously adequate.  Read off `profile`.
     """
-    (_, _, plus), (_, _, minus) = _constant_states(d)
-    return plus, minus
+    p = profile(d)
+    return p.plus_adequate, p.minus_adequate
 
 
 class DiagramProfile(NamedTuple):
@@ -217,7 +210,8 @@ def profile(d: AnnularDiagram) -> DiagramProfile:
 
 def _profile(d: AnnularDiagram) -> DiagramProfile:
     conn = is_connected(d)
-    (sp, pp, pa), (sm, pm, ma) = _constant_states(d)
+    # one trace of each constant smoothing gives its counts and adequacy
+    (sp, pp, fp), (sm, pm, fm) = flip_counts(d, 1), flip_counts(d, -1)
     k3: Optional[int] = None
     k2: Optional[int] = None
     simple: Optional[bool] = None
@@ -241,7 +235,7 @@ def _profile(d: AnnularDiagram) -> DiagramProfile:
         k_fig3=k3,
         simple=simple,
         quasi_simple=quasi,
-        plus_adequate=pa,
-        minus_adequate=ma,
+        plus_adequate=max(fp, default=-1) < sp,
+        minus_adequate=max(fm, default=-1) < sm,
         k_fig2=k2,
     )

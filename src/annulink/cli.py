@@ -190,6 +190,11 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         raise DiagramFormatError(0, "--orientation applies to bracket --jones only")
     name, d, _ = _load_target(args.diagram)
     orientation = _parse_orientation(args.orientation)
+    if args.jones:  # an orientation that does not fit exits 2 before any state sum
+        try:
+            w = writhe(d, orientation)
+        except ValueError as exc:
+            raise DiagramFormatError(0, str(exc)) from exc
     try:
         poly = bracket_simplified(d)
     except BracketSizeError as exc:  # exit 3 here only: verify lets it raise
@@ -198,10 +203,6 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         poly = poly.mirror()
     rows = [("bracket", str(poly)), ("breadth", str(poly.breadth()))]
     if args.jones:
-        try:
-            w = writhe(d, orientation)
-        except ValueError as exc:  # an orientation that does not fit the diagram
-            raise DiagramFormatError(0, str(exc)) from exc
         j = jones(d, orientation)
         if args.mirror:
             j, w = j.mirror(), -w

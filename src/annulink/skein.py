@@ -22,6 +22,11 @@ unknot to delta, a single essential circle to 0.
 
 Every routine here walks the diagram's cached `half_edges` table; the
 half-edge numbering and its step rules are stated once, in `diagram`.
+A free loop is a circle of every smoothing, counted by its parity in
+one place: `_label_circles` lists the loops after the traced circles,
+and `resolve`, `state_circles`, `flip_counts` and the Gray walk read
+them there.  Only `_plain_states`, the independent route, counts them
+itself.
 
 `bracket_simplified` is the route used in production, by the CLI's
 `bracket` and by `jones`: `bracket_gray` of ``simplify(d)``, which has
@@ -79,13 +84,6 @@ __all__ = [
 
 MAX_CROSSINGS = 26
 
-# The Gray walk packs (minus signs, trivial, essential circles) into one
-# int, a field each; a state of n crossings has at most 2n circles.
-_BITS = (2 * MAX_CROSSINGS).bit_length()
-_FIELD = (1 << _BITS) - 1
-_TRIVIAL = 1 << _BITS
-_ESSENTIAL = 1 << 2 * _BITS
-
 
 class BracketSizeError(ValueError):
     """Raised when a state-sum enumeration would be too large to run."""
@@ -131,14 +129,15 @@ def alpha_walk_oracle(p: int) -> int:
 def _label_circles(
     d: AnnularDiagram, signs: Sequence[int]
 ) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """Trace every circle of one smoothing, free loops excluded.
+    """Label every circle of one smoothing.
 
     Returns (circle, parity, arc, prefix): the circle index of every
     half-edge, the parity of every circle, and for every half-edge
     whether the trace leaves it along an arc of the smoothing (1) or
     along its edge (0), and the parity of the edges crossed before
-    reaching it.  Circles are numbered, and traced, from their smallest
-    half-edge."""
+    reaching it.  Traced circles are numbered, and traced, from their
+    smallest half-edge; the free loops follow in diagram order, so
+    ``parity`` holds every circle and no caller counts the loops."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     ident = [-1] * len(mate)
@@ -162,7 +161,7 @@ def _label_circles(
             if cur == h0:
                 break
         parity.append(par)
-    return ident, parity, arc, prefix
+    return ident, parity + list(d.free_loops), arc, prefix
 
 
 def flip_counts(d: AnnularDiagram, sign: int) -> Tuple[int, int, List[int]]:
@@ -184,14 +183,12 @@ def flip_counts(d: AnnularDiagram, sign: int) -> Tuple[int, int, List[int]]:
       reconnects to itself and nothing changes.  A planar map always
       splits; reconnecting needs a map that is not planar, which a file
       that fails `validate` can still give.
-
-    Free loops are counted in ``trivial`` and ``essential``.
     """
     if sign not in (1, -1):
         raise ValueError("smoothing signs must be +1 or -1")
     ident, parity, arc, prefix = _label_circles(d, [sign] * d.n)
-    trivial = parity.count(0) + d.free_loops.count(0)
-    essential = len(parity) + len(d.free_loops) - trivial
+    trivial = parity.count(0)
+    essential = len(parity) - trivial
     old = 3 if sign > 0 else 1  # h ^ old: the partner of h now
     new = old ^ 2  # h ^ new: the partner of h after the flip
     flipped = []
@@ -241,11 +238,11 @@ def resolve(
     """Count circles of one smoothing: (nullhomotopic, essential).
 
     ``state`` maps crossing ids to +-1, or lists signs in crossing
-    order.  Free loops are counted by their own parity.
+    order.
     """
     parity = _label_circles(d, _state_signs(d, state))[1]
-    trivial = parity.count(0) + d.free_loops.count(0)
-    return trivial, len(parity) + len(d.free_loops) - trivial
+    trivial = parity.count(0)
+    return trivial, len(parity) - trivial
 
 
 def state_circles(
@@ -264,10 +261,7 @@ def state_circles(
     corners: List[List[Tuple[str, int]]] = [[] for _ in parity]
     for h, k in enumerate(ident):
         corners[k].append((order[h >> 2], h & 3))
-    out = [(frozenset(c), par) for c, par in zip(corners, parity)]
-    for p in d.free_loops:
-        out.append((frozenset(), p & 1))
-    return out
+    return [(frozenset(c), par) for c, par in zip(corners, parity)]
 
 
 # -- state sums ---------------------------------------------------------------
@@ -417,24 +411,25 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
     with a fresh id: it either closed (a split, the rest keeps the old
     id and parity) or ran through the whole circle (it reconnected to
     itself, and the old id is freed).  Dead ids are reused, so at most
-    2n + 1 slots are ever live.  The counts sit in one packed key,
-    unpacked once at the end."""
+    2n + 1 slots are ever live.  The counts sit in one packed key of
+    three fields (minus signs, trivial, essential circles), each wide
+    enough for 2n traced circles and the free loops, unpacked once at
+    the end."""
     t = d.half_edges()
     mate, epar = t.mate, t.epar
     n = d.n
-    free_triv = d.free_loops.count(0)
-    free_ess = len(d.free_loops) - free_triv
-    if n == 0:
-        return {(0, free_triv, free_ess): 1}
     s = _gray_sign(d)[0]
     ident, seed = _label_circles(d, [s] + [1] * (n - 1))[:2]
-    parity = seed + [0] * (2 * n + 1 - len(seed))
+    if n == 0:
+        return {(0, seed.count(0), len(seed) - seed.count(0)): 1}
+    parity = seed + [0] * (2 * n + 1)
     free = list(range(len(parity) - 1, len(seed) - 1, -1))
     partner = [h ^ 3 for h in range(4 * n)]
     if s < 0:  # crossing 0's - arcs
         partner[:4] = [1, 0, 3, 2]
-    unit = (_TRIVIAL, _ESSENTIAL)  # key step per circle of parity 0, 1
-    key = (s < 0) + seed.count(0) * _TRIVIAL + (len(seed) - seed.count(0)) * _ESSENTIAL
+    bits = (2 * n + len(seed)).bit_length()
+    unit = (1 << bits, 1 << 2 * bits)  # key step per circle of parity 0, 1
+    key = (s < 0) + seed.count(0) * unit[0] + (len(seed) - seed.count(0)) * unit[1]
     # the twin's arc from slot 0 closes a path from slot 0 that first comes back at `split`
     split = 1 if s > 0 else 3
     counts: Dict[int, int] = {}
@@ -505,10 +500,11 @@ def _gray_states(d: AnnularDiagram) -> Dict[Tuple[int, int, int], int]:
         else:
             parity[k], parity[ia] = par, pa ^ par
             key += unit[par] + unit[pa ^ par] - unit[pa]
+    mask = unit[0] - 1
     hist: Dict[Tuple[int, int, int], int] = {}
     for key, count in counts.items():
-        pop, triv, ess = key & _FIELD, key >> _BITS & _FIELD, key >> 2 * _BITS
-        hist[(n - 2 * pop, triv + free_triv, ess + free_ess)] = count
+        pop, triv, ess = key & mask, key >> bits & mask, key >> 2 * bits
+        hist[(n - 2 * pop, triv, ess)] = count
     return hist
 
 
@@ -565,8 +561,9 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
     """Sum of crossing signs under the chosen component orientations.
 
     ``orientation`` gives a direction (+1 forward, -1 reversed) for each
-    component, listed as the strand walks in `strand_walks` order
-    followed by the free loops; None orients every component forward.
+    component, listed as the strand walks in ``half_edges().walks``
+    order followed by the free loops; None orients every component
+    forward.
     A forward passage through a crossing enters at slot s and leaves at
     s+2; a crossing counts +1 when the under-strand leaves one slot
     clockwise of where the over-strand leaves, -1 otherwise.
@@ -574,7 +571,7 @@ def writhe(d: AnnularDiagram, orientation: Union[Sequence[int], None] = None) ->
     reversed, so knots have a well-defined writhe.
     """
     t = d.half_edges()
-    ncomp = len(t.walks) + len(d.free_loops)
+    ncomp = d.component_count()
     dirs = [1] * ncomp if orientation is None else list(orientation)
     if len(dirs) != ncomp or any(o not in (1, -1) for o in dirs):
         raise ValueError("orientation must give +1 or -1 for each of the %d components" % ncomp)

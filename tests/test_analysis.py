@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annulink import skein
+from annulink import analysis, skein
 from annulink.analysis import (
     classify_crossings,
     is_adequate,
@@ -21,7 +21,7 @@ from annulink.analysis import (
 )
 from annulink.corpus import ENTRIES, get
 from annulink.diagram import AnnularDiagram, from_braid_closure, from_free_loops
-from annulink.generate import r_move_perturbations
+from annulink.generate import FAMILIES, generate_family, r_move_perturbations
 from annulink.skein import flip_counts, resolve, state_circles
 
 
@@ -88,7 +88,35 @@ class TestPredicates:
         assert not is_quasi_simple(closure([1, 1], 2))
 
 
+def profiled_population():
+    """Every generated family at size 4, and 30 diagrams of every
+    `random_diagram` kind."""
+    kinds = ("annulus", "disk", "kinks", "loops", "maps")
+    return [d for family in FAMILIES for d in generate_family(family, 4, 0)] + [
+        random_diagram(kind, seed) for kind in kinds for seed in range(30)
+    ]
+
+
+def spy_flip_counts(monkeypatch):
+    """The list that each later `analysis.flip_counts` call appends to."""
+    calls = []
+    monkeypatch.setattr(analysis, "flip_counts", lambda *args: calls.append(args) or flip_counts(*args))
+    return calls
+
+
 class TestStateCounts:
+    def test_read_off_the_profile(self, monkeypatch):
+        # profile traces each constant smoothing once; state_counts then
+        # traces nothing and agrees with resolve
+        calls = spy_flip_counts(monkeypatch)
+        for d in profiled_population():
+            p = profile(d)
+            assert len(calls) == 2
+            del calls[:]
+            assert state_counts(d) == (p.s_plus, p.p_plus, p.s_minus, p.p_minus)
+            assert state_counts(d) == resolve(d, [1] * d.n) + resolve(d, [-1] * d.n)
+            assert calls == []
+
     def test_match_resolve(self):
         for word, strands in (([1], 2), ([1, 1, 1], 2), ([1, -2, 3], 4)):
             d = closure(word, strands)
@@ -204,6 +232,17 @@ class TestOneFlipCounts:
 
 
 class TestAdequacy:
+    def test_read_off_the_profile(self, monkeypatch):
+        # profile traces each constant smoothing once; is_adequate then
+        # traces nothing and agrees with the from-scratch scan
+        calls = spy_flip_counts(monkeypatch)
+        for d in profiled_population():
+            p = profile(d)
+            assert len(calls) == 2
+            del calls[:]
+            assert is_adequate(d) == (p.plus_adequate, p.minus_adequate) == literal_adequacy(d)
+            assert calls == []
+
     def naive_distinct_strands(self, d):
         """Both all-positive replacement strands at each crossing land on
         distinct circles.  Weaker than plus-adequacy."""

@@ -307,6 +307,22 @@ class TestBracket:
         assert rc == EXIT_INPUT
         assert "orientation" in err
 
+    def test_orientation_is_checked_before_the_state_sum(self, capsys, monkeypatch):
+        # an orientation that does not fit exits 2 without walking a state,
+        # on the 18-crossing zigzag and past the crossing cap alike
+        calls = []
+        walk = skein._gray_states
+        monkeypatch.setattr(skein, "_gray_states", lambda d: calls.append(d) or walk(d))
+        zigzag = "braid 4: " + " ".join(["s1 -s2 s3"] * 6)
+        capped = "braid 2: " + " ".join(["s1"] * 27)
+        for recipe, ncomp in ((zigzag, 2), (capped, 1)):
+            rc, out, err = run(capsys, "bracket", recipe, "--jones", "--orientation", "1,1,1,1,1,1,1,1")
+            assert (rc, out) == (EXIT_INPUT, "")
+            assert err.splitlines() == ["orientation must give +1 or -1 for each of the %d components" % ncomp]
+        assert calls == []
+        rc, _, _ = run(capsys, "bracket", "braid 2: s1 s1", "--jones", "--orientation", "1,-1")
+        assert rc == EXIT_OK and len(calls) == 1  # the spy does see the walk
+
 
 @pytest.mark.parametrize(
     "argv",

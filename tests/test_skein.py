@@ -181,19 +181,27 @@ class TestGrayKernel:
         assert skein._gray_states(virtual) == {(1, 0, 1): 1, (-1, 0, 1): 1}
         assert skein._gray_states(virtual) == skein._plain_states(virtual)
 
-    def test_free_loops_of_both_parities(self):
+    def test_free_loops_of_both_parities(self, monkeypatch):
+        # two trivial and three essential loops, alone and beside crossings:
+        # every route counts each loop once, by its parity, against the
+        # loopless histogram shifted by (2, 3)
+        loops = (0, 1, 1, 0, 1)
         base = closure([1, -2, 1, 2], 3)
-        d = AnnularDiagram(base.crossings, base.edge_parity, (0, 1, 1, 0, 1), base.external)
-        hist = skein._gray_states(d)
-        assert hist == skein._plain_states(d)
-        shifted = {(s, t + 2, e + 3): c for (s, t, e), c in skein._gray_states(base).items()}
-        assert hist == shifted
+        for bare in (from_free_loops(()), base):
+            d = AnnularDiagram(bare.crossings, bare.edge_parity, loops, bare.external)
+            shifted = {(s, t + 2, e + 3): c for (s, t, e), c in literal_histogram(bare).items()}
+            assert skein._plain_states(d) == literal_histogram(d) == resolved_histogram(d) == shifted
+            for sign in (1, -1):
+                monkeypatch.setattr(skein, "_gray_sign", lambda _, sign=sign: (sign, 0, 0))
+                assert skein._gray_states(d) == shifted, sign
 
     def test_packed_fields_hold_the_largest_state(self):
-        # minus signs <= n and circles <= 2n, each in its own field
-        assert 2 * MAX_CROSSINGS <= skein._FIELD
-        assert skein._TRIVIAL == skein._FIELD + 1
-        assert skein._ESSENTIAL == skein._TRIVIAL << skein._BITS
+        # the key's fields widen with the free loops: 130 trivial and 140
+        # essential loops overflow fields sized for 2n circles alone
+        base = closure([1, -2, 1, 2], 3)
+        d = AnnularDiagram(base.crossings, base.edge_parity, (0,) * 130 + (1,) * 140, base.external)
+        shifted = {(s, t + 130, e + 140): c for (s, t, e), c in literal_histogram(base).items()}
+        assert skein._gray_states(d) == skein._plain_states(d) == shifted
 
 
 def resolved_histogram(d):
@@ -993,7 +1001,18 @@ class TestCircleLabelling:
                 self._agree(d, [rng.choice((1, -1)) for _ in range(d.n)])
 
     def test_free_loop_diagrams(self):
+        # loops alone and beside crossings: the labelling lists each loop
+        # once, after the traced circles, and every reader counts it once
         rng = random.Random(78)
-        for _ in range(10):
-            d = from_free_loops([rng.randint(0, 1) for _ in range(rng.randint(0, 5))])
-            self._agree(d, [])
+        for bare in [from_free_loops(())] * 10 + random_population(79, 20):
+            loops = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 5)))
+            d = AnnularDiagram(bare.crossings, bare.edge_parity, bare.free_loops + loops, bare.external)
+            extra = (loops.count(0), loops.count(1))
+            signs = [rng.choice((1, -1)) for _ in range(d.n)]
+            self._agree(d, signs)
+            assert state_circles(d, signs)[len(state_circles(bare, signs)):] == [(frozenset(), p) for p in loops]
+            t, e = resolve(bare, signs)
+            assert resolve(d, signs) == (t + extra[0], e + extra[1])
+            for sign in (1, -1):
+                t, e, flipped = skein.flip_counts(bare, sign)
+                assert skein.flip_counts(d, sign) == (t + extra[0], e + extra[1], [f + extra[0] for f in flipped])
